@@ -23,16 +23,12 @@ import numpy as np
 import pytest
 
 from repro import store as repro_store
-from repro.experiments.runner import run_sweep
 from repro.metrics import format_table
 
 from conftest import (
     ALL_GRAPHS,
     POWERLAW_GRAPHS,
-    TABLE3_ALGO_KWARGS as ALGO_KWARGS,
-    TABLE3_ALGOS as ALGOS,
-    TABLE3_FRAMEWORKS as FRAMEWORKS,
-    TABLE3_ORDERINGS as ORDERINGS,
+    per_cell_sweep,
     print_header,
     timed_best,
 )
@@ -42,12 +38,7 @@ REPS = 2
 
 
 def sweep(graph, backend):
-    # run_sweep takes per-algorithm kwargs as **algo_kwargs, not as a
-    # keyword named algo_kwargs (which would be silently swallowed).
-    return run_sweep(
-        graph, ALGOS, FRAMEWORKS, ORDERINGS,
-        backend=backend, **ALGO_KWARGS,
-    )
+    return per_cell_sweep(graph, cache=False, backend=backend)
 
 
 @pytest.fixture(scope="module")

@@ -99,11 +99,12 @@ environment variables:
                         them eagerly; equivalent to --mmap
 
 Cached artifacts are content-addressed bundles under
-<cache root>/{graph,ordering,partition,edgeorder}/ — one directory per
-artifact holding a manifest plus one mmap-friendly .npy file per array
-(legacy single-file .npz bundles are still read transparently);
-`datasets clean` removes only entries the cache itself wrote (verified
-by an embedded marker), never foreign files.
+<cache root>/{graph,ordering,partition,edgeorder,trace}/ — one directory
+per artifact holding a manifest plus one mmap-friendly .npy file per
+array.  Single-file .npz bundles from older releases are not read (delete
+the cache root to reclaim their space); `datasets clean` removes only
+entries the cache itself wrote (verified by an embedded marker), never
+foreign files.
 """
 
 
@@ -336,12 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="periodic progress heartbeat (cells done/total, executed vs "
         "replayed, cells/sec, ETA) even when stderr is not a TTY",
-    )
-    srun.add_argument(
-        "--no-dedup", action="store_true",
-        help="disable trace-aware scheduling: execute every cell "
-        "independently instead of once per (graph, ordering, algorithm) "
-        "identity (results are byte-identical either way)",
     )
     _add_sweep_out_flag(srun)
     _add_cache_flags(srun)
@@ -744,7 +739,6 @@ def _cmd_sweep_run(args) -> int:
         store=store,
         resume=args.resume,
         cache=cache if cache is not None else False,
-        dedup=not args.no_dedup,
         progress=progress,
         stats=stats,
     )
@@ -754,9 +748,7 @@ def _cmd_sweep_run(args) -> int:
         f"sweep complete: {counts['done']} computed, {counts['skipped']} "
         f"resumed from store, {time.perf_counter() - t0:.3f}s"
     )
-    if stats.get("groups") and not args.no_dedup:
-        # --no-dedup never consults or writes the trace store, so the
-        # hit/miss fragment would be misleading there.
+    if stats.get("groups"):
         _log.info(
             f"dedup: {stats['computed']} cell(s) priced from "
             f"{stats['groups']} execution group(s) "
@@ -813,7 +805,6 @@ def _cmd_sweep_reprice(args) -> int:
         store=store,
         resume=True,
         cache=cache,
-        dedup=True,
         replay_only=True,
         progress=progress,
         stats=stats,

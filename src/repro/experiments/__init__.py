@@ -1,10 +1,9 @@
 """Experiment orchestration: configuration runner, sweeps and results.
 
 * :mod:`repro.experiments.runner` — one (graph, ordering, framework,
-  algorithm) cell end to end, split into ``execute`` (produce or replay
-  a :class:`TraceExecution` via the persistent trace store) and
-  ``price`` (one framework personality on one machine model), plus the
-  serial ``run_sweep`` inner loop;
+  algorithm) cell end to end (``run``), split into ``execute`` (produce
+  or replay a :class:`TraceExecution` via the persistent trace store)
+  and ``price`` (one framework personality on one machine model);
 * :mod:`repro.experiments.sweep` — the parallel, resumable orchestrator
   that groups cells by execution identity (one execution, pricing fanned
   out per (framework, machine) pair — ``replay_only`` turns it into the
@@ -23,7 +22,6 @@ from repro.experiments.runner import (
     prepare,
     price,
     run,
-    run_sweep,
 )
 from repro.experiments.sweep import (
     SweepCell,
@@ -48,5 +46,4 @@ __all__ = [
     "run",
     "run_cells",
     "run_matrix",
-    "run_sweep",
 ]

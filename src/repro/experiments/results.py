@@ -92,7 +92,6 @@ class ResultsStore:
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self._cache: tuple[tuple[int, int], list] | None = None
-        self._tail_clean = False  # this process has verified/written the tail
 
     # ------------------------------------------------------------------
     # writing
@@ -100,35 +99,21 @@ class ResultsStore:
     def append(self, key: str, result: ExperimentResult, meta: dict | None = None) -> None:
         """Persist one completed cell (atomic at line granularity).
 
-        The line is written in a single buffered call and flushed, so a
-        crash can only ever truncate the *final* line — which the tolerant
-        reader treats as "cell not done".  ``meta`` rides along untouched
-        (the orchestrator records the cell's dataset + build params so
-        reports can tell heterogeneous sweeps apart).
+        The line goes out in a single write (:func:`repro.store.appendlog
+        .append_lines`), so a crash can only ever truncate the *final*
+        line — which the tolerant reader treats as "cell not done", and
+        the next append terminates.  ``meta`` rides along untouched (the
+        orchestrator records the cell's dataset + build params so reports
+        can tell heterogeneous sweeps apart).
         """
+        from repro.store.appendlog import append_lines
+
         payload = {"key": str(key), "result": result.to_dict()}
         if meta is not None:
             payload["meta"] = meta
         line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            # A previous writer killed mid-write leaves a final line with
-            # no trailing newline; appending directly would glue this
-            # record onto the partial bytes and lose *both*.  Close the
-            # orphan line first (once per store instance — our own appends
-            # always terminate their line).
-            needs_newline = False
-            if not self._tail_clean:
-                try:
-                    with open(self.path, "rb") as fh:
-                        fh.seek(-1, os.SEEK_END)
-                        needs_newline = fh.read(1) != b"\n"
-                except (OSError, ValueError):
-                    pass  # missing or empty file
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(("\n" if needs_newline else "") + line + "\n")
-                fh.flush()
-            self._tail_clean = True
+            append_lines(self.path, [line])
         except OSError as exc:
             raise ResultsError(f"cannot append to results store {self.path}: {exc}") from exc
 

@@ -46,7 +46,6 @@ __all__ = [
     "prepare",
     "price",
     "run",
-    "run_sweep",
 ]
 
 
@@ -504,45 +503,3 @@ def run(
     )
     return price(execution, graph, fw, prepared, locality=locality, machine=machine)
 
-
-def run_sweep(
-    graph: Graph,
-    algorithms: list[str],
-    frameworks: list[str],
-    orderings: list[str],
-    cache: object = False,
-    backend: str | None = None,
-    **algo_kwargs,
-) -> list[ExperimentResult]:
-    """The Table III inner loop for one graph: all combinations, reusing
-    each reordered graph across frameworks and algorithms.  ``cache``
-    additionally persists each ordering via :mod:`repro.store`, so a
-    repeated sweep (or another process) skips the reordering entirely.
-    ``backend`` selects the engine implementation for every cell."""
-    results: list[ExperimentResult] = []
-    # One prepared graph per (ordering, partition count) across *all*
-    # frameworks: Ligra and GraphGrind share default_partitions=384, so a
-    # per-framework cache would reorder each graph twice for nothing.
-    prepared_cache: dict[tuple[str, int], PreparedGraph] = {}
-    for fw_name in frameworks:
-        fw = FRAMEWORKS[fw_name]
-        for ordering in orderings:
-            key = (ordering, fw.default_partitions)
-            if key not in prepared_cache:
-                prepared_cache[key] = prepare(
-                    graph, ordering, fw.default_partitions, cache=cache
-                )
-            prep = prepared_cache[key]
-            for algo in algorithms:
-                results.append(
-                    run(
-                        graph,
-                        algo,
-                        fw,
-                        ordering=ordering,
-                        prepared=prep,
-                        backend=backend,
-                        **algo_kwargs.get(algo, {}),
-                    )
-                )
-    return results

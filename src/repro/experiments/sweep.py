@@ -1,15 +1,16 @@
 """Parallel, resumable sweep orchestrator for the Table III matrix.
 
-``run_sweep`` (:mod:`repro.experiments.runner`) is the serial inner loop:
-one graph, in-process, all-or-nothing.  This module scales it out:
+:func:`repro.experiments.runner.run` prices one cell in-process.  This
+module scales that out to a whole matrix:
 
 * the full (graph, algorithm, framework, ordering) matrix is expanded
   into :class:`SweepCell`\\ s, each identified by the same canonical
   content-hash key the artifact cache uses;
-* cells fan out across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  — each worker loads its graph and ordering *warm* through
-  :mod:`repro.store`, prices the cell, and returns a serializable
-  :class:`~repro.experiments.runner.ExperimentResult`;
+* execution groups (below) fan out across a
+  :class:`~concurrent.futures.ProcessPoolExecutor` — each worker loads
+  its graph and ordering *warm* through :mod:`repro.store`, prices the
+  group's cells, and returns serializable
+  :class:`~repro.experiments.runner.ExperimentResult`\\ s;
 * the parent (the single writer) appends every completed cell to a
   :class:`~repro.experiments.results.ResultsStore` the moment it arrives,
   so an interrupted sweep loses at most the in-flight cells and a
@@ -18,24 +19,21 @@ one graph, in-process, all-or-nothing.  This module scales it out:
 Workers recompute nothing semantic: pricing is deterministic, so every
 modeled field of a cell (``seconds``, ``iterations``, the per-iteration
 estimate) computed by any worker, any process, any day is byte-identical
-to the serial path — the equivalence the test suite pins down.  The one
-wall-clock field, ``ordering_seconds``, is byte-stable only when a shared
-artifact cache replays the recorded ordering; cache-less runs re-measure
-it per process.
+to a per-cell :func:`~repro.experiments.runner.run` — the equivalence
+the test suite pins down.  The one wall-clock field,
+``ordering_seconds``, is byte-stable only when a shared artifact cache
+replays the recorded ordering; cache-less runs re-measure it per process.
 
-Scheduling is **trace-aware** (``dedup=True``, the default): cells are
-grouped by *execution identity* — (dataset, params, ordering, algorithm,
-algo kwargs, partition count), everything that determines what the
-algorithm does, which excludes the framework since all personalities
-price at the same accounting granularity, and the machine model since a
-machine only prices — and each group executes its algorithm once
-(consulting the persistent trace store first, via
-:func:`repro.experiments.runner.execute`), then fans the trace out to
-per-(framework, machine) pricing.  A full Ligra+Polymer+GraphGrind matrix therefore
-does one third of the semantic work, and a re-sweep over a warm trace
-store executes nothing at all.  ``dedup=False`` keeps the historical one
--execution-per-cell path (no grouping, no trace store) — the two paths
-are differentially tested byte-identical.
+Scheduling is **trace-aware**: cells are grouped by *execution identity*
+— (dataset, params, ordering, algorithm, algo kwargs, partition count),
+everything that determines what the algorithm does, which excludes the
+framework since all personalities price at the same accounting
+granularity, and the machine model since a machine only prices — and
+each group executes its algorithm once (consulting the persistent trace
+store first, via :func:`repro.experiments.runner.execute`), then fans the
+trace out to per-(framework, machine) pricing.  A full
+Ligra+Polymer+GraphGrind matrix therefore does one third of the semantic
+work, and a re-sweep over a warm trace store executes nothing at all.
 """
 
 from __future__ import annotations
@@ -50,11 +48,9 @@ from repro.errors import ResultsError
 from repro.experiments.results import ResultsStore, result_cell_key
 from repro.experiments.runner import (
     ExperimentResult,
-    PreparedGraph,
     execute,
     prepare,
     price,
-    run,
 )
 from repro.machine.models import DEFAULT_MACHINE
 
@@ -156,16 +152,13 @@ def expand_matrix(
     backend: str | None = None,
     machines: Sequence[str] = (DEFAULT_MACHINE,),
 ) -> list[SweepCell]:
-    """Expand a matrix into cells in the serial ``run_sweep`` order
-    (per dataset: machine -> framework -> ordering -> algorithm), so with
-    the default single machine a returned result list lines up
-    element-for-element with the serial path.
+    """Expand a matrix into cells, ordered per dataset machine ->
+    framework -> ordering -> algorithm; results come back in this order.
 
     ``params`` applies to every dataset; ``algo_kwargs`` maps algorithm
-    name -> kwargs (the ``run_sweep`` convention, e.g.
-    ``{"PR": {"num_iterations": 5}}``).  ``machines`` multiplies the
-    matrix by machine personality — a pricing dimension, so the extra
-    cells share the same execution groups.
+    name -> kwargs (e.g. ``{"PR": {"num_iterations": 5}}``).
+    ``machines`` multiplies the matrix by machine personality — a pricing
+    dimension, so the extra cells share the same execution groups.
 
     Algorithm, framework, ordering and machine names are validated here,
     before any cell is keyed or dispatched — a typo must fail the whole
@@ -247,29 +240,6 @@ def _load_group_context(cell: SweepCell, cache, graphs: dict, prepared: dict):
     return graph, prepared[pkey]
 
 
-def _compute_cell(
-    cell: SweepCell,
-    cache,
-    graphs: dict,
-    prepared: dict,
-) -> ExperimentResult:
-    """Price one cell end to end — the historical (``dedup=False``) path:
-    one execution per cell, no trace store."""
-    from repro.frameworks.personality import FRAMEWORKS
-
-    graph, prep = _load_group_context(cell, cache, graphs, prepared)
-    return run(
-        graph,
-        cell.algorithm,
-        FRAMEWORKS[cell.framework],
-        ordering=cell.ordering,
-        prepared=prep,
-        backend=cell.backend,
-        machine=cell.machine,
-        **cell.algo_kwargs,
-    )
-
-
 def _compute_group(
     group: list[SweepCell],
     cache,
@@ -347,30 +317,17 @@ def _register_cache_machines(cache) -> None:
         load_user_machines(resolved.root)
 
 
-def _worker_run_cell(cell: SweepCell, cache_root: str | None) -> dict:
-    """Pool entry point (``dedup=False``): compute one cell, return its
-    serialized result.
+def _worker_run_group(
+    group: list[SweepCell], cache_root: str | None, replay_only: bool = False
+) -> dict:
+    """Pool entry point: one execution, per-cell pricing.
 
+    Returns the serialized results in group order plus the replay flag
+    (one flag for the whole group: its cells share the execution).
     ``cache_root`` rather than a cache object crosses the process
     boundary, keeping the task payload picklable under every start
     method.  ``None`` means the orchestrator ran cache-less, so the
     worker builds from scratch too."""
-    from repro.store import ArtifactCache
-
-    cache = ArtifactCache(cache_root) if cache_root is not None else False
-    _attach_worker_obs(cache_root)
-    _register_cache_machines(cache)
-    result = _compute_cell(cell, cache, _WORKER_GRAPHS, _WORKER_PREPARED)
-    return result.to_dict()
-
-
-def _worker_run_group(
-    group: list[SweepCell], cache_root: str | None, replay_only: bool = False
-) -> dict:
-    """Pool entry point (``dedup=True``): one execution, per-cell pricing.
-
-    Returns the serialized results in group order plus the replay flag
-    (one flag for the whole group: its cells share the execution)."""
     from repro.store import ArtifactCache
 
     cache = ArtifactCache(cache_root) if cache_root is not None else False
@@ -396,7 +353,6 @@ def run_cells(
     store: "ResultsStore | str | os.PathLike | None" = None,
     resume: bool = True,
     cache=None,
-    dedup: bool = True,
     replay_only: bool = False,
     progress: ProgressFn | None = None,
     stats: dict | None = None,
@@ -412,17 +368,15 @@ def run_cells(
     (:func:`repro.store.resolve_cache`); workers share it, so orderings
     computed by one worker are warm for every other.
 
-    ``dedup=True`` (default) schedules by execution group: each (graph,
-    ordering, algorithm) identity executes once — consulting the
-    persistent trace store first when the cache is enabled — and every
-    framework prices the shared trace.  ``dedup=False`` is the historical
-    one-execution-per-cell path, kept as the differential baseline.  The
-    two are byte-identical in everything they persist.
+    Work is scheduled by execution group: each (graph, ordering,
+    algorithm) identity executes once — consulting the persistent trace
+    store first when the cache is enabled — and every framework prices
+    the shared trace.
 
     ``replay_only=True`` (the ``sweep reprice`` contract) promises this
     call executes **zero** algorithms: every pending group must replay
     from the persistent trace store, and a miss raises instead of
-    executing.  Requires ``dedup`` and an enabled ``cache``.
+    executing.  Requires an enabled ``cache``.
 
     ``progress(cell, result, skipped)`` is invoked once per cell.
     ``stats``, when given, is filled with dedup accounting: targeted
@@ -435,8 +389,7 @@ def run_cells(
         try:
             return _run_cells_inner(
                 cells, jobs=jobs, store=store, resume=resume, cache=cache,
-                dedup=dedup, replay_only=replay_only, progress=progress,
-                stats=stats,
+                replay_only=replay_only, progress=progress, stats=stats,
             )
         finally:
             if obs.enabled():
@@ -454,18 +407,12 @@ def _run_cells_inner(
     store: "ResultsStore | str | os.PathLike | None",
     resume: bool,
     cache,
-    dedup: bool,
     replay_only: bool,
     progress: ProgressFn | None,
     stats: dict | None,
 ) -> list[ExperimentResult]:
     from repro.store import resolve_cache
 
-    if replay_only and not dedup:
-        raise ResultsError(
-            "replay_only requires dedup scheduling (the per-cell path "
-            "never consults the trace store)"
-        )
     if isinstance(store, (str, os.PathLike)):
         store = ResultsStore(store)
 
@@ -501,9 +448,7 @@ def _run_cells_inner(
     counters = {"executed": 0, "replayed": 0}
 
     key_of = dict((id(cell), key) for cell, key in pending)
-    groups = group_cells(cell for cell, _ in pending) if dedup else [
-        [cell] for cell, _ in pending
-    ]
+    groups = group_cells(cell for cell, _ in pending)
 
     def record(cell: SweepCell, key: str, result: ExperimentResult,
                replayed: bool) -> None:
@@ -536,15 +481,9 @@ def _run_cells_inner(
         prepared: dict = {}
         cache_arg = resolved if resolved is not None else False
         for group in groups:
-            if dedup:
-                group_results, replayed = _compute_group(
-                    group, cache_arg, graphs, prepared, replay_only=replay_only
-                )
-            else:
-                group_results, replayed = (
-                    [_compute_cell(group[0], cache_arg, graphs, prepared)],
-                    False,
-                )
+            group_results, replayed = _compute_group(
+                group, cache_arg, graphs, prepared, replay_only=replay_only
+            )
             record_group(group, group_results, replayed)
     else:
         # Sort the dispatch queue so groups sharing a (graph, ordering)
@@ -557,18 +496,10 @@ def _run_cells_inner(
         )
         failure: tuple[SweepCell, BaseException] | None = None
         with ProcessPoolExecutor(max_workers=min(jobs, len(queue))) as pool:
-            if dedup:
-                futures = {
-                    pool.submit(
-                        _worker_run_group, group, cache_root, replay_only
-                    ): group
-                    for group in queue
-                }
-            else:
-                futures = {
-                    pool.submit(_worker_run_cell, group[0], cache_root): group
-                    for group in queue
-                }
+            futures = {
+                pool.submit(_worker_run_group, group, cache_root, replay_only): group
+                for group in queue
+            }
             outstanding = set(futures)
             while outstanding:
                 finished, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
@@ -587,16 +518,11 @@ def _run_cells_inner(
                             for f in outstanding:
                                 f.cancel()
                         continue
-                    if dedup:
-                        record_group(
-                            group,
-                            [ExperimentResult.from_dict(d) for d in payload["results"]],
-                            payload["replayed"],
-                        )
-                    else:
-                        record_group(
-                            group, [ExperimentResult.from_dict(payload)], False
-                        )
+                    record_group(
+                        group,
+                        [ExperimentResult.from_dict(d) for d in payload["results"]],
+                        payload["replayed"],
+                    )
                 outstanding = {f for f in outstanding if not f.cancelled()}
         if failure is not None:
             cell, exc = failure
@@ -634,16 +560,13 @@ def run_matrix(
     store: "ResultsStore | str | os.PathLike | None" = None,
     resume: bool = True,
     cache=None,
-    dedup: bool = True,
     replay_only: bool = False,
     progress: ProgressFn | None = None,
     stats: dict | None = None,
 ) -> list[ExperimentResult]:
     """Expand a full matrix and execute it (see :func:`run_cells`).
 
-    This is the parallel, persistent, resumable counterpart of calling
-    :func:`repro.experiments.run_sweep` once per graph: the result list is
-    ordered exactly as the serial loops would produce it.  ``machines``
+    Results come back in :func:`expand_matrix` order.  ``machines``
     multiplies the matrix by machine personality; combined with
     ``replay_only=True`` over a warm trace store this is the ``sweep
     reprice`` engine — the whole (framework x machine) matrix priced with
@@ -656,5 +579,5 @@ def run_matrix(
     )
     return run_cells(
         cells, jobs=jobs, store=store, resume=resume, cache=cache,
-        dedup=dedup, replay_only=replay_only, progress=progress, stats=stats,
+        replay_only=replay_only, progress=progress, stats=stats,
     )

@@ -3,7 +3,6 @@
 from repro.partition.algorithm1 import (
     boundaries_from_counts,
     chunk_boundaries,
-    chunk_boundaries_reference,
     partition_by_destination,
 )
 from repro.partition.partitioned import PartitionedGraph
@@ -17,7 +16,6 @@ from repro.partition.stats import (
 __all__ = [
     "boundaries_from_counts",
     "chunk_boundaries",
-    "chunk_boundaries_reference",
     "partition_by_destination",
     "PartitionedGraph",
     "ImbalanceSummary",

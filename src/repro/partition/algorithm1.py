@@ -31,11 +31,12 @@ the vectorized implementation below replaces the sequential walk with a
 ``searchsorted`` over the cumulative degree array, which is equivalent
 because each cut target is a fixed multiple of ``avg``.  The cut targets
 are **exact integers** (ceil-division multiples of ``|E| / P``), so the
-vectorized cuts are bit-identical to the sequential reference scan
-(:func:`chunk_boundaries_reference`) even on exact-boundary ties — a
-float target ``i * (|E| / P)`` can round to either side of the integer
-cumulative count it is compared against, flipping the paper's
-``|E[i]| >= avg`` test precisely when the tie is exact.
+vectorized cuts are bit-identical to the paper's sequential scan even on
+exact-boundary ties — a float target ``i * (|E| / P)`` can round to
+either side of the integer cumulative count it is compared against,
+flipping the paper's ``|E[i]| >= avg`` test precisely when the tie is
+exact.  The test suite keeps the loop-based sequential scan as the
+oracle this vectorization is differentially tested against.
 
 Inputs (degree arrays, CSC offsets) are borrowed read-only — they may be
 memory-mapped cache hits — and only the freshly allocated ``boundaries``
@@ -52,7 +53,6 @@ from repro.graph.csr import INDEX_DTYPE, Graph
 __all__ = [
     "partition_by_destination",
     "chunk_boundaries",
-    "chunk_boundaries_reference",
     "boundaries_from_counts",
 ]
 
@@ -65,8 +65,8 @@ def chunk_boundaries(in_degrees: np.ndarray, num_partitions: int) -> np.ndarray:
     partition starts once the current one's edge count has *reached* the
     target average ``|E| / P`` (the paper's ``|E[i]| >= avg`` test), and the
     last partition absorbs any remainder.  All arithmetic is exact: the
-    property suite pins this bit-identical to
-    :func:`chunk_boundaries_reference` for every (degrees, P).
+    property suite pins this bit-identical to the sequential scan for
+    every (degrees, P).
     """
     in_degrees = np.ascontiguousarray(in_degrees, dtype=INDEX_DTYPE)
     n = in_degrees.size
@@ -97,50 +97,6 @@ def chunk_boundaries(in_degrees: np.ndarray, num_partitions: int) -> np.ndarray:
     boundaries[p] = n
     if np.any(np.diff(boundaries) < 0):
         raise PartitionError("internal error: boundaries not monotone")
-    return boundaries
-
-
-def chunk_boundaries_reference(
-    in_degrees: np.ndarray, num_partitions: int
-) -> np.ndarray:
-    """Sequential reference scan of Algorithm 1, in exact arithmetic.
-
-    The paper-shaped greedy: walk vertices in ID order, add each to the
-    open partition, and after each addition close the partition while the
-    running edge count has reached the next multiple of the exact average
-    ``|E| / P`` (the ``|E[i]| >= avg`` test, applied after the vertex
-    lands — so every cut consumes the vertex that reached it, and an
-    overshooting hub can close several partitions at once, leaving them
-    empty: Figure 1's imbalance).  The target advances by ``avg`` from
-    the previous *target*, not from the achieved count, and the reach
-    test is the cross-multiplied integer comparison ``c * P >= i * |E|``
-    — the same predicate :func:`chunk_boundaries` vectorizes with
-    ceil-division targets, so the two are bit-identical by construction
-    and by the property suite.  O(n + P) and deliberately loop-based:
-    this is the oracle the vectorized scan is differentially tested
-    against.
-    """
-    degrees = np.ascontiguousarray(in_degrees, dtype=INDEX_DTYPE)
-    n = degrees.size
-    p = int(num_partitions)
-    if p <= 0:
-        raise PartitionError("num_partitions must be positive")
-    total = int(degrees.sum())
-    boundaries = np.empty(p + 1, dtype=INDEX_DTYPE)
-    boundaries[0] = 0
-    i = 1
-    count = 0
-    for v in range(n):
-        if i >= p:
-            break
-        count += int(degrees[v])
-        while i < p and count * p >= i * total:
-            boundaries[i] = v + 1
-            i += 1
-    while i < p:  # ran out of vertices before targets: empty tail chunks
-        boundaries[i] = n
-        i += 1
-    boundaries[p] = n
     return boundaries
 
 

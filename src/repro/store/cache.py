@@ -30,18 +30,13 @@ compressed ``.npz``, they can be memory-mapped (``np.load(mmap_mode='r')``),
 so a cache hit hands the engines page-cache-backed, read-only views of the
 on-disk bytes instead of decompressing a private heap copy per load.
 
-Bundle format v1 (legacy, read-only)
-------------------------------------
-``<root>/<kind>/<key>.npz`` — a monolithic compressed archive.  Legacy
-bundles remain transparently readable (and cleanable); new writes always
-produce the v2 layout.  Array *content* is identical under both formats:
-the golden digests in ``tests/test_artifact_stability.py`` pin that the
-format migration cannot move a single artifact byte.
-
-Every bundle embeds a magic marker (``manifest.json``'s ``magic`` field
-for v2, the ``__repro_cache__`` array for v1) so
-:meth:`ArtifactCache.clean` can prove a file is cache-owned before deleting
-it; foreign files inside the cache root are never touched.
+Every bundle embeds a magic marker (``manifest.json``'s ``magic`` field)
+so :meth:`ArtifactCache.clean` can prove a bundle is cache-owned before
+deleting it; foreign files inside the cache root are never touched.  The
+monolithic ``<key>.npz`` archives of bundle format v1 are no longer read:
+one left over in a cache root is a foreign file, so its key is a clean
+miss that rebuilds a v2 bundle beside it (delete the cache root to
+reclaim the space).
 
 Read-only contract
 ------------------
@@ -61,11 +56,10 @@ Configuration
     returns ``None`` and all cache-aware call sites fall back to building
     from scratch.
 ``REPRO_MMAP``
-    Any non-empty value makes v2 bundle loads memory-map their arrays
+    Any non-empty value makes bundle loads memory-map their arrays
     (``np.load(mmap_mode='r')``) instead of reading them eagerly.  Hits
     then cost O(1) RSS until pages are touched, and N loads of the same
-    bundle share one set of physical pages.  Legacy v1 bundles cannot be
-    mapped and fall back to an eager (still read-only) load.
+    bundle share one set of physical pages.
 """
 
 from __future__ import annotations
@@ -96,10 +90,6 @@ __all__ = [
     "resolve_cache",
 ]
 
-#: Marker array name stored inside every legacy (v1) npz bundle.
-MAGIC_FIELD = "__repro_cache__"
-#: v1 marker value; v1 bundles are read and cleaned but never written.
-MAGIC_VALUE = "repro-artifact-v1"
 #: Manifest filename inside every v2 bundle directory.
 MANIFEST_NAME = "manifest.json"
 #: v2 marker value, stored in the manifest's ``magic`` field.
@@ -145,8 +135,8 @@ def artifact_key(kind: str, payload: dict) -> str:
     Two payloads produce the same key iff their canonical JSON encodings
     match — so changing any build parameter (scale, seed, partition count,
     algorithm, source-file digest, ...) changes the key.  The bundle
-    *format* version is deliberately not part of the key: v1 and v2
-    bundles of the same artifact are the same artifact.
+    *format* version is deliberately not part of the key: a format
+    change must not move the identity of an artifact.
     """
     blob = json.dumps(
         {"kind": kind, "payload": _canonical(payload)},
@@ -191,71 +181,56 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _tree_size(path: Path) -> int:
-    """Total byte size of a bundle (file, or directory of sidecars).
+    """Total byte size of a bundle directory's sidecars.
 
     Tolerates entries vanishing mid-walk: a concurrent writer of the
     same content-addressed key may replace the bundle under us.
     """
+    total = 0
     try:
-        if path.is_dir():
-            total = 0
-            for p in path.iterdir():
-                try:
-                    if p.is_file():
-                        total += p.stat().st_size
-                except OSError:
-                    continue
-            return total
-        return path.stat().st_size
+        for p in path.iterdir():
+            try:
+                if p.is_file():
+                    total += p.stat().st_size
+            except OSError:
+                continue
     except OSError:
         return 0
+    return total
 
 
 class ArtifactCache:
-    """A directory of content-addressed artifact bundles (v2 sidecar
-    directories, plus transparently-read legacy v1 ``.npz`` files)."""
+    """A directory of content-addressed artifact bundles (one directory
+    of ``.npy`` sidecars plus a manifest per artifact)."""
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
 
     # ------------------------------------------------------------------
     def path_for(self, kind: str, key: str) -> Path:
-        """The v2 bundle directory for ``(kind, key)``."""
+        """The bundle directory for ``(kind, key)``."""
         if kind not in ARTIFACT_KINDS:
             raise CacheError(f"unknown artifact kind {kind!r}; use one of {ARTIFACT_KINDS}")
         return self.root / kind / key
 
-    def legacy_path_for(self, kind: str, key: str) -> Path:
-        """The v1 (monolithic ``.npz``) bundle path for ``(kind, key)``."""
-        if kind not in ARTIFACT_KINDS:
-            raise CacheError(f"unknown artifact kind {kind!r}; use one of {ARTIFACT_KINDS}")
-        return self.root / kind / f"{key}.npz"
-
     def has(self, kind: str, key: str) -> bool:
-        return (self.path_for(kind, key) / MANIFEST_NAME).is_file() or (
-            self.legacy_path_for(kind, key).is_file()
-        )
+        return (self.path_for(kind, key) / MANIFEST_NAME).is_file()
 
     # ------------------------------------------------------------------
     def load(self, kind: str, key: str) -> dict[str, np.ndarray] | None:
         """Return the bundle's arrays, or ``None`` on a cache miss.
 
-        v2 bundle directories are preferred; a legacy v1 ``.npz`` at the
-        same key is read (eagerly — compressed archives cannot be mapped)
-        when no v2 bundle exists.  Every returned array is read-only; with
-        ``REPRO_MMAP`` set, v2 arrays are memory-mapped views of the
-        on-disk bytes.
+        Every returned array is read-only; with ``REPRO_MMAP`` set, they
+        are memory-mapped views of the on-disk bytes.
 
         A bundle that exists but cannot be parsed (truncated write from a
         crashed process, foreign file at the right path) is treated as a
         miss and removed, so a corrupt entry can never wedge the cache.
         """
         path = self.path_for(kind, key)
-        if path.is_dir():
-            return self._load_v2(kind, key, path)
-        return self._load_v1(kind, key)
-
-    def _load_v2(self, kind: str, key: str, path: Path) -> dict[str, np.ndarray] | None:
+        if not path.is_dir():
+            self._note_get(kind, key, hit=False)
+            return None
         try:
             manifest = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
             if not isinstance(manifest, dict):
@@ -299,28 +274,6 @@ class ArtifactCache:
         self._note_get(kind, key, hit=True, mmapped=mapped > 0)
         return arrays
 
-    def _load_v1(self, kind: str, key: str) -> dict[str, np.ndarray] | None:
-        path = self.legacy_path_for(kind, key)
-        if not path.is_file():
-            self._note_get(kind, key, hit=False)
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
-        except (OSError, ValueError, KeyError):
-            path.unlink(missing_ok=True)
-            self._note_get(kind, key, hit=False)
-            return None
-        if str(arrays.get(MAGIC_FIELD, "")) != MAGIC_VALUE:
-            # Right name, wrong provenance: do not trust, do not delete.
-            self._note_get(kind, key, hit=False)
-            return None
-        arrays.pop(MAGIC_FIELD, None)
-        for arr in arrays.values():
-            _readonly(arr)
-        self._note_get(kind, key, hit=True)
-        return arrays
-
     @staticmethod
     def _note_get(kind: str, key: str, hit: bool, mmapped: bool = False) -> None:
         if not obs.enabled():
@@ -340,8 +293,6 @@ class ArtifactCache:
         back to array names by the manifest, so array names may contain
         characters that are unsafe in filenames (``meta.<key>``, ...).
         """
-        if MAGIC_FIELD in arrays:
-            raise CacheError(f"array name {MAGIC_FIELD!r} is reserved")
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(dir=path.parent, prefix=".tmp-"))
@@ -375,11 +326,6 @@ class ArtifactCache:
                     # evict it and take one more swing.
                     shutil.rmtree(path, ignore_errors=True)
                     os.replace(tmp, path)
-            # A legacy bundle at the same key is now shadowed; drop it so
-            # `entries`/`clean` never double-count one artifact.
-            legacy = self.legacy_path_for(kind, key)
-            if legacy.is_file() and self._owns_legacy(legacy):
-                legacy.unlink(missing_ok=True)
         except OSError as exc:
             shutil.rmtree(tmp, ignore_errors=True)
             raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
@@ -408,17 +354,6 @@ class ArtifactCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _owns_legacy(path: Path) -> bool:
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                return (
-                    MAGIC_FIELD in data.files
-                    and str(data[MAGIC_FIELD]) == MAGIC_VALUE
-                )
-        except (OSError, ValueError):
-            return False
-
-    @staticmethod
     def _owns_bundle_dir(path: Path) -> bool:
         try:
             manifest = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
@@ -432,16 +367,14 @@ class ArtifactCache:
             folder = self.root / kind
             if not folder.is_dir():
                 continue
-            for path in sorted(folder.iterdir()):
-                if path.is_dir():
-                    if self._owns_bundle_dir(path):
-                        owned.append(path)
-                elif path.suffix == ".npz" and self._owns_legacy(path):
-                    owned.append(path)
+            owned.extend(
+                path for path in sorted(folder.iterdir())
+                if self._owns_bundle_dir(path)
+            )
         return owned
 
     def clean(self, kind: str | None = None) -> list[Path]:
-        """Delete cache-owned bundles (both formats); return removed paths.
+        """Delete cache-owned bundles; return removed paths.
 
         Only bundles carrying the embedded magic marker are deleted —
         anything else found under the cache root (a user's own npz, a
@@ -453,10 +386,7 @@ class ArtifactCache:
                 raise CacheError(f"unknown artifact kind {k!r}; use one of {ARTIFACT_KINDS}")
         removed = []
         for path in self._owned_paths(kinds):
-            if path.is_dir():
-                shutil.rmtree(path)
-            else:
-                path.unlink()
+            shutil.rmtree(path)
             removed.append(path)
         return removed
 
@@ -464,7 +394,7 @@ class ArtifactCache:
         """``(kind, key, size_bytes)`` for every cache-owned bundle."""
         out = []
         for path in self._owned_paths(ARTIFACT_KINDS):
-            out.append((path.parent.name, path.stem, _tree_size(path)))
+            out.append((path.parent.name, path.name, _tree_size(path)))
         return out
 
     def size_bytes(self) -> int:

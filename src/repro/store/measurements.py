@@ -15,10 +15,10 @@ time by :func:`repro.experiments.runner.execute`, so the (work, seconds)
 pairs a ``machines calibrate`` fit needs survive process exit and
 accumulate across runs.
 
-Unlike the five ``.npz`` kinds it is not content-addressed — measurements
-are observations, not deterministic functions of their inputs, so two
-runs of the same cell legitimately append two different samples.  Each
-line is self-contained::
+Unlike the five bundle kinds of the artifact cache it is not
+content-addressed — measurements are observations, not deterministic
+functions of their inputs, so two runs of the same cell legitimately
+append two different samples.  Each line is self-contained::
 
     {"version": 1, "trace_key": ..., "graph": ..., "algorithm": ...,
      "ordering": ..., "num_partitions": ..., "backend": "parallel",
@@ -33,10 +33,11 @@ plan splits at Algorithm-1 partition boundaries, so the slice is exact),
 which is precisely the feature vector of the cost model
 (:mod:`repro.machine.cost`) — calibration is a linear fit away.
 
-Reads are tolerant (a line truncated by a kill is skipped) and appends
-are single buffered writes in append mode, so concurrent sweep workers
-can record without coordination; the worst interleaving loses a line,
-never corrupts the file.
+Reads are tolerant (a line truncated by a kill is skipped) and each batch
+of samples is appended in a single write (:func:`repro.store.appendlog
+.append_lines`), so concurrent sweep workers record without coordination
+and the next append after a killed writer terminates its partial line
+instead of gluing a sample onto it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import CacheError
+from repro.store.appendlog import append_lines
 
 __all__ = [
     "MEASUREMENT_VERSION",
@@ -95,29 +97,23 @@ class MeasurementStore:
     # writing
     # ------------------------------------------------------------------
     def append(self, samples: Iterable[dict]) -> int:
-        """Persist samples, one JSON line each, in a single buffered write.
+        """Persist samples, one JSON line each, in a single write.
 
         Multiple processes may append concurrently (sweep workers record
-        their own cells); append mode plus one ``write`` call per flush
-        keeps lines from interleaving in practice, and the tolerant
-        reader drops any line a crash truncates.
+        their own cells); see :func:`repro.store.appendlog.append_lines`.
         """
-        blob = "".join(
-            json.dumps(s, sort_keys=True, separators=(",", ":")) + "\n"
-            for s in samples
-        )
-        if not blob:
+        lines = [
+            json.dumps(s, sort_keys=True, separators=(",", ":")) for s in samples
+        ]
+        if not lines:
             return 0
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(blob)
-                fh.flush()
+            append_lines(self.path, lines)
         except OSError as exc:
             raise CacheError(
                 f"cannot append to measurement store {self.path}: {exc}"
             ) from exc
-        count = blob.count("\n")
+        count = len(lines)
         if obs.enabled():
             obs.event("measurements.append", cat="store", samples=count)
             obs.metrics().counter("measurements.samples", count)

@@ -1,8 +1,8 @@
 """Lossless array-bundle encoding for cacheable artifacts.
 
 One artifact == one flat ``dict[str, np.ndarray]``; the cache persists it
-as per-array ``.npy`` sidecar files (mmap-friendly bundle format v2, with
-legacy ``.npz`` bundles still read — see :mod:`repro.store.cache`).
+as per-array ``.npy`` sidecar files (mmap-friendly bundle format v2 — see
+:mod:`repro.store.cache`).
 Scalar metadata (names, algorithm labels, timings, non-array ordering
 diagnostics) rides along in a single JSON string array under
 ``"meta_json"`` so bundles stay ``allow_pickle=False`` safe.  The unpack

@@ -28,7 +28,8 @@ trace.
 
 Bundle layout
 -------------
-One ``.npz`` bundle per trace.  Repeated records (e.g. the identical
+One bundle directory per trace (format v2, like every artifact kind of
+:mod:`repro.store.cache`).  Repeated records (e.g. the identical
 dense steps of an iterative algorithm) are stored **once**: the bundle
 holds a table of unique records (deduplicated by
 :func:`~repro.frameworks.trace.record_fingerprint`, i.e. bitwise) plus a

@@ -2,13 +2,14 @@
 
 The acceptance bar: trace-aware scheduling (group by execution identity,
 execute once, price per framework, replay from the persistent trace
-store) is **observationally invisible** — the dedup sweep's persisted
-``ResultsStore`` contents are byte-identical to the historical
-one-execution-per-cell path over the full 8-graph x 8-algorithm x
-3-framework x 2-ordering matrix, serially and under ``--jobs 4``, across
-a mid-sweep kill — while an execution-count spy proves the semantic work
-actually collapses: one execution per (graph, ordering, algorithm)
-identity cold, *zero* executions over a warm trace store.
+store) is **observationally invisible** — every result payload the dedup
+sweep persists is byte-identical to the one a per-cell ``run()`` computes
+(the oracle, :func:`oracles.per_cell_results`) over the full 8-graph x
+8-algorithm x 3-framework x 2-ordering matrix, serially and under
+``--jobs 4``, across a mid-sweep kill — while an execution-count spy
+proves the semantic work actually collapses: one execution per (graph,
+ordering, algorithm) identity cold, *zero* executions over a warm trace
+store.
 """
 
 import json
@@ -24,9 +25,11 @@ import pytest
 
 from repro import store as repro_store
 from repro.cli import main as cli_main
-from repro.experiments import ResultsStore, expand_matrix, group_cells, run_cells
+from repro.experiments import expand_matrix, group_cells, run_cells
 from repro.experiments import runner as runner_mod
 from repro.store import ArtifactCache
+
+from oracles import per_cell_results
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -67,11 +70,13 @@ class ExecutionSpy:
 def matrix_run(tmp_path_factory):
     """One full-matrix campaign shared by the equivalence tests.
 
-    Runs the complete 8x8x3x2 matrix four ways against one shared
-    artifact cache — (A) non-dedup serial, (B) dedup serial with a cold
-    trace store, (C) dedup jobs=4 over the now-warm trace store, (D)
-    dedup serial warm — each into its own results store, with an
-    execution spy active on the in-process runs.
+    Computes the complete 8x8x3x2 matrix four ways against one shared
+    artifact cache — (A) the per-cell oracle, (B) dedup serial with a
+    cold trace store, (C) dedup jobs=4 over the now-warm trace store, (D)
+    dedup serial warm — the sweeps each into its own results store, with
+    an execution spy active on the in-process runs.  The oracle goes
+    first, so it is also the run that records every ordering (and its
+    ``ordering_seconds``) in the artifact cache.
     """
     base = tmp_path_factory.mktemp("dedup-matrix")
     cache = ArtifactCache(base / "cache")
@@ -86,17 +91,20 @@ def matrix_run(tmp_path_factory):
     spy = ExecutionSpy().install()
     runs: dict[str, dict] = {}
     try:
-        for name, kwargs in (
-            ("nodedup", dict(jobs=1, dedup=False)),
-            ("dedup_cold", dict(jobs=1, dedup=True)),
-            ("dedup_jobs4", dict(jobs=4, dedup=True)),
-            ("dedup_warm", dict(jobs=1, dedup=True)),
+        results = per_cell_results(cells, cache)
+        oracle = {
+            "payloads": oracle_payloads(cells, results),
+            "results": results,
+            "counts": dict(spy.counts),
+        }
+        for name, jobs in (
+            ("dedup_cold", 1), ("dedup_jobs4", 4), ("dedup_warm", 1),
         ):
             spy.reset()
             out = base / f"{name}.jsonl"
             stats: dict = {}
             results = run_cells(
-                cells, store=out, cache=cache, stats=stats, **kwargs
+                cells, jobs=jobs, store=out, cache=cache, stats=stats
             )
             runs[name] = {
                 "out": out,
@@ -106,7 +114,11 @@ def matrix_run(tmp_path_factory):
             }
     finally:
         spy.uninstall()
-    return {"cells": cells, "cache": cache, "runs": runs}
+    return {"cells": cells, "cache": cache, "oracle": oracle, "runs": runs}
+
+
+def canonical(result_dict: dict) -> str:
+    return json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
 
 
 def result_payloads(path) -> dict[str, str]:
@@ -114,32 +126,42 @@ def result_payloads(path) -> dict[str, str]:
     payloads = {}
     for line in Path(path).read_text().splitlines():
         obj = json.loads(line)
-        payloads[obj["key"]] = json.dumps(
-            obj["result"], sort_keys=True, separators=(",", ":")
-        )
+        payloads[obj["key"]] = canonical(obj["result"])
     return payloads
+
+
+def oracle_payloads(cells, results) -> dict[str, str]:
+    """key -> canonical JSON of each per-cell result, as a store holds it."""
+    return {
+        cell.key(): canonical(result.to_dict())
+        for cell, result in zip(cells, results)
+    }
 
 
 class TestDifferentialEquivalence:
     def test_cold_dedup_store_byte_identical_to_per_framework_path(self, matrix_run):
-        """The headline: the dedup sweep's ResultsStore is byte-for-byte
-        the per-framework path's store (same lines, order-independent —
-        grouping reorders completion, not content)."""
-        a = sorted(Path(matrix_run["runs"]["nodedup"]["out"]).read_text().splitlines())
-        b = sorted(Path(matrix_run["runs"]["dedup_cold"]["out"]).read_text().splitlines())
-        assert a == b
+        """The headline: every result the cold dedup sweep persists is
+        byte-for-byte the per-cell oracle's result for the same key
+        (order-independent — grouping reorders completion, not
+        content), and every line records a fresh execution."""
+        out = matrix_run["runs"]["dedup_cold"]["out"]
+        assert result_payloads(out) == matrix_run["oracle"]["payloads"]
+        lines = [json.loads(line) for line in Path(out).read_text().splitlines()]
+        assert len(lines) == 384
+        assert {line["meta"]["trace_replayed"] for line in lines} == {False}
 
     def test_parallel_warm_dedup_results_byte_identical(self, matrix_run):
-        """jobs=4 over a warm trace store: every persisted result payload
-        is byte-identical to the per-framework path's (the meta channel
-        differs only in the trace_replayed provenance flag)."""
-        base = result_payloads(matrix_run["runs"]["nodedup"]["out"])
+        """jobs=4 and serial over a warm trace store: every persisted
+        result payload is byte-identical to the per-cell oracle's (the
+        meta channel differs only in the trace_replayed provenance
+        flag)."""
+        base = matrix_run["oracle"]["payloads"]
         for name in ("dedup_jobs4", "dedup_warm"):
             other = result_payloads(matrix_run["runs"][name]["out"])
             assert other == base
 
     def test_returned_results_identical_across_all_paths(self, matrix_run):
-        base = matrix_run["runs"]["nodedup"]["results"]
+        base = matrix_run["oracle"]["results"]
         for name in ("dedup_cold", "dedup_jobs4", "dedup_warm"):
             results = matrix_run["runs"][name]["results"]
             assert len(results) == len(base)
@@ -157,14 +179,15 @@ class TestDifferentialEquivalence:
     def test_spy_cold_dedup_executes_each_identity_exactly_once(self, matrix_run):
         """128 execution identities (8 graphs x 2 orderings x 8
         algorithms) -> exactly 128 executions, one per identity; the
-        per-framework path runs every one of them three times."""
+        per-cell oracle runs every one of them three times (once per
+        framework: it never replays)."""
         cold = matrix_run["runs"]["dedup_cold"]["counts"]
         assert sum(cold.values()) == 8 * 2 * 8
         assert set(cold.values()) == {1}
-        nodedup = matrix_run["runs"]["nodedup"]["counts"]
-        assert sum(nodedup.values()) == 8 * 2 * 8 * 3
-        assert set(nodedup.values()) == {3}
-        assert set(nodedup) == set(cold)
+        per_cell = matrix_run["oracle"]["counts"]
+        assert sum(per_cell.values()) == 8 * 2 * 8 * 3
+        assert set(per_cell.values()) == {3}
+        assert set(per_cell) == set(cold)
 
     def test_spy_warm_sweep_executes_nothing(self, matrix_run):
         """A re-sweep over a warm trace store is pure pricing: zero
@@ -183,8 +206,6 @@ class TestDifferentialEquivalence:
         }
         jobs4 = matrix_run["runs"]["dedup_jobs4"]["stats"]
         assert jobs4["replayed"] == 128 and jobs4["executed"] == 0
-        nodedup = matrix_run["runs"]["nodedup"]["stats"]
-        assert nodedup["groups"] == 384  # one "group" per cell
 
     def test_group_cells_identity(self, matrix_run):
         groups = group_cells(matrix_run["cells"])
@@ -197,7 +218,7 @@ class TestDifferentialEquivalence:
 
 class TestResumeAcrossKill:
     """Kill a dedup sweep mid-flight, resume it, and prove the completed
-    store holds exactly the per-framework path's contents."""
+    store holds exactly the per-cell oracle's results."""
 
     MATRIX = [
         "--graphs", "twitter", "--algorithms", ",".join(ALGOS),
@@ -236,8 +257,7 @@ class TestResumeAcrossKill:
         argv, env = self._cli(
             tmp_path, "run", "--graphs", "twitter", "--algorithms", "BFS",
             "--frameworks", "ligra", "--orderings", ",".join(ORDERINGS),
-            "--scale", str(SCALE), "--no-dedup", "--jobs", "1",
-            "--out", str(warm),
+            "--scale", str(SCALE), "--jobs", "1", "--out", str(warm),
         )
         assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
 
@@ -271,15 +291,14 @@ class TestResumeAcrossKill:
         assert len(after) == len(set(after)) == self.TOTAL
         assert set(before) <= set(after)
 
-        # the resumed store's results == the per-framework path's, byte
-        # for byte (same shared cache, so ordering_seconds replay too)
-        ref = tmp_path / "nodedup.jsonl"
-        argv, env = self._cli(
-            tmp_path, "run", *self.MATRIX, "--jobs", "1",
-            "--out", str(ref), "--no-dedup",
+        # the resumed store's results == the per-cell oracle's, byte for
+        # byte (same shared cache, so ordering_seconds replay too)
+        cells = expand_matrix(
+            ["twitter"], ALGOS, FRAMEWORKS, ORDERINGS,
+            params={"scale": SCALE, "seed": 12345}, algo_kwargs=ALGO_KWARGS,
         )
-        assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
-        assert result_payloads(out) == result_payloads(ref)
+        results = per_cell_results(cells, ArtifactCache(tmp_path / "cache"))
+        assert result_payloads(out) == oracle_payloads(cells, results)
 
 
 class TestDedupCLIReporting:
@@ -355,23 +374,6 @@ class TestDedupCLIReporting:
         report = capsys.readouterr().out
         assert "sweep group" not in report  # homogeneous identity, one group
         assert "geomean vebo speedup over original" in report
-
-    def test_no_dedup_flag_disables_grouping(self, cache_env, capsys):
-        out = cache_env / "nodedup.jsonl"
-        assert cli_main(
-            ["sweep", "run", *self.ARGS, "--out", str(out), "--no-dedup"]
-        ) == 0
-        run_out = capsys.readouterr().out
-        # the per-cell path never consults the trace store; the summary
-        # must not imply hits or misses were taken
-        assert "sweep complete: 12 computed" in run_out
-        assert "trace store:" not in run_out
-        assert cli_main(["sweep", "status", *self.ARGS, "--out", str(out)]) == 0
-        status_out = capsys.readouterr().out
-        # the matrix still *could* dedup 3:1; the store records that the
-        # cells were executed fresh
-        assert "dedup: 12 cell(s) in 4 execution group(s)" in status_out
-        assert "12 miss(es) (executed fresh)" in status_out
 
 
 class TestTracesCLI:

@@ -182,11 +182,6 @@ class TestReplayOnlyContract:
             spy.uninstall()
         assert spy.count == 0
 
-    def test_replay_only_requires_dedup(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        with pytest.raises(ResultsError, match="dedup"):
-            run_cells([], cache=cache, replay_only=True, dedup=False)
-
     def test_replay_only_requires_cache(self):
         with pytest.raises(ResultsError, match="artifact cache"):
             run_cells([], cache=False, replay_only=True)

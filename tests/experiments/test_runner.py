@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import prepare, run, run_sweep
+from repro.experiments import prepare, run
 from repro.graph import generators as gen
 from repro.graph.io import write_adjacency_graph, read_adjacency_graph
 
@@ -62,9 +62,19 @@ class TestRun:
             assert r.seconds > 0, algo
 
 
+def sweep(g, algorithms, frameworks, orderings, **algo_kwargs):
+    """One ``run()`` per cell of the (framework, ordering, algorithm) grid."""
+    return [
+        run(g, algo, fw, ordering=ordering, **algo_kwargs.get(algo, {}))
+        for fw in frameworks
+        for ordering in orderings
+        for algo in algorithms
+    ]
+
+
 class TestSweep:
     def test_sweep_covers_grid(self, g):
-        res = run_sweep(
+        res = sweep(
             g, ["PR", "BFS"], ["ligra", "polymer"], ["original", "vebo"],
             PR={"num_iterations": 2},
         )
@@ -75,7 +85,7 @@ class TestSweep:
     def test_vebo_never_pathological(self, g):
         """VEBO must never be catastrophically slower than original —
         sanity guard on the calibrated model."""
-        res = run_sweep(
+        res = sweep(
             g, ["PR"], ["polymer", "graphgrind"], ["original", "vebo"],
             PR={"num_iterations": 3},
         )

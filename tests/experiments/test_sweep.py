@@ -1,8 +1,9 @@
 """Determinism, equivalence and resume tests for the parallel sweep.
 
-The acceptance bar: the orchestrator's results are byte-identical to the
-serial ``run_sweep`` path at any ``jobs`` count, and a resumed interrupted
-sweep completes while re-running zero already-persisted cells.
+The acceptance bar: the orchestrator's results are byte-identical to a
+per-cell ``run()`` (the oracle, :func:`oracles.per_cell_results`) at any
+``jobs`` count, and a resumed interrupted sweep completes while
+re-running zero already-persisted cells.
 """
 
 import json
@@ -22,9 +23,10 @@ from repro.experiments import (
     expand_matrix,
     run_cells,
     run_matrix,
-    run_sweep,
 )
 from repro.store import ArtifactCache
+
+from oracles import per_cell_results
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -44,13 +46,11 @@ def cache(tmp_path_factory):
 
 
 def serial_sweep(datasets, cache):
-    results = []
-    for name in datasets:
-        g = repro_store.load_graph(name, scale=SCALE, cache=cache)
-        results.extend(
-            run_sweep(g, ALGOS, FRAMEWORKS, ORDERINGS, cache=cache, **ALGO_KWARGS)
-        )
-    return results
+    cells = expand_matrix(
+        datasets, ALGOS, FRAMEWORKS, ORDERINGS,
+        params={"scale": SCALE}, algo_kwargs=ALGO_KWARGS,
+    )
+    return per_cell_results(cells, cache)
 
 
 def parallel_sweep(datasets, cache, jobs, store=None, resume=True):

@@ -41,8 +41,8 @@ def cache_digests(root) -> dict[str, str]:
         if not kind_dir.is_dir():
             continue
         for path in sorted(kind_dir.iterdir()):
-            # v2 bundles are directories of sidecar files; legacy ones
-            # are single npz files.  Digest every byte either way.
+            # Bundles are directories of sidecar files; a stray file
+            # beside them is digested too, so no byte escapes the check.
             members = sorted(path.rglob("*")) if path.is_dir() else [path]
             for member in members:
                 if member.is_file():

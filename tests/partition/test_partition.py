@@ -9,11 +9,12 @@ from repro.partition import (
     PartitionedGraph,
     boundaries_from_counts,
     chunk_boundaries,
-    chunk_boundaries_reference,
     compute_stats,
     partition_by_destination,
     summarize,
 )
+
+from oracles import chunk_boundaries_reference
 
 
 class TestChunkBoundaries:

@@ -14,8 +14,10 @@ from repro.machine.schedule import (
 from repro.ordering.base import stable_bucket_argsort
 from repro.ordering.streaming import assignment_to_order
 from repro.ordering.vebo import counting_sort_by_degree
-from repro.partition.algorithm1 import chunk_boundaries, chunk_boundaries_reference
+from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
+
+from oracles import chunk_boundaries_reference
 
 #: Degree arrays that stress every boundary the exact-arithmetic scan and
 #: the bucket sort care about: zeros, ties, hubs, and values spanning one,

@@ -1,4 +1,4 @@
-"""Bundle format v2: sidecar layout, legacy reads, mmap, read-only contract."""
+"""Bundle format v2: sidecar layout, v1 leftovers, mmap, read-only contract."""
 
 import json
 
@@ -12,8 +12,6 @@ from repro.store import serialization as ser
 from repro.store.cache import (
     ArtifactCache,
     BUNDLE_VERSION,
-    MAGIC_FIELD,
-    MAGIC_VALUE,
     MAGIC_VALUE_V2,
     MANIFEST_NAME,
     mmap_enabled,
@@ -98,46 +96,39 @@ class TestV2Layout:
         assert cache.load("graph", "a" * 40) is None
 
 
-class TestLegacyV1Read:
-    def _write_v1(self, cache, kind, key, arrays):
-        path = cache.legacy_path_for(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(path, **arrays, **{MAGIC_FIELD: np.array(MAGIC_VALUE)})
-        return path
+class TestLegacyV1Miss:
+    """Bundle format v1 (one ``<key>.npz`` per artifact) is no longer read:
+    an ``.npz`` at a key, written by the old cache or by anyone else, is a
+    clean miss, rebuilt as a v2 bundle beside it and otherwise ignored."""
 
-    def test_v1_bundle_reads_transparently(self, cache, small_grid):
-        arrays = ser.pack_graph(small_grid)
-        self._write_v1(cache, "graph", "c" * 40, arrays)
-        assert cache.has("graph", "c" * 40)
-        out = cache.load("graph", "c" * 40)
-        assert out is not None
-        assert MAGIC_FIELD not in out
-        g = ser.unpack_graph(out)
-        assert np.array_equal(g.csr.adj, small_grid.csr.adj)
+    @pytest.mark.parametrize("marker", [
+        pytest.param({"__repro_cache__": np.array("repro-artifact-v1")},
+                     id="v1-marker"),
+        pytest.param({}, id="foreign"),
+    ])
+    def test_npz_at_key_is_a_clean_miss(self, cache, marker):
+        key = "d" * 40
+        npz = cache.root / "graph" / f"{key}.npz"
+        npz.parent.mkdir(parents=True)
+        np.savez(npz, x=np.arange(3), **marker)
+        before = npz.read_bytes()
 
-    def test_v1_arrays_come_back_read_only(self, cache):
-        self._write_v1(cache, "graph", "c" * 40, {"x": np.arange(5)})
-        out = cache.load("graph", "c" * 40)
-        assert not out["x"].flags.writeable
+        assert cache.load("graph", key) is None
+        assert not cache.has("graph", key)
+        assert cache.entries() == []
+        assert cache.clean() == []
 
-    def test_v1_read_only_even_under_mmap(self, cache, mmap_on):
-        self._write_v1(cache, "graph", "c" * 40, {"x": np.arange(5)})
-        out = cache.load("graph", "c" * 40)
-        assert not out["x"].flags.writeable
-        assert np.array_equal(out["x"], np.arange(5))
-
-    def test_store_upgrades_and_drops_owned_v1(self, cache):
-        legacy = self._write_v1(cache, "graph", "c" * 40, {"x": np.arange(5)})
-        cache.store("graph", "c" * 40, {"x": np.arange(5)})
-        assert not legacy.exists()
-        assert [k for k, _, _ in cache.entries()] == ["graph"]
-
-    def test_foreign_npz_at_key_is_not_trusted_or_deleted(self, cache):
-        path = cache.legacy_path_for("graph", "d" * 40)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(path, x=np.arange(3))  # no magic marker
-        assert cache.load("graph", "d" * 40) is None
-        assert path.exists()
+        _, hit = cache.get_or_build("graph", key, lambda: {"x": np.arange(5)})
+        assert not hit
+        assert cache.has("graph", key)
+        manifest = json.loads(
+            (cache.path_for("graph", key) / MANIFEST_NAME).read_text()
+        )
+        assert manifest["version"] == BUNDLE_VERSION
+        assert np.array_equal(cache.load("graph", key)["x"], np.arange(5))
+        assert [(kind, k) for kind, k, _ in cache.entries()] == [("graph", key)]
+        assert cache.clean() == [cache.path_for("graph", key)]
+        assert npz.read_bytes() == before
 
 
 class TestReadOnlyContract:

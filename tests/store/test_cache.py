@@ -159,22 +159,11 @@ class TestCacheBehaviour:
         assert cache.load("graph", "b" * 40) is None
         assert not path.exists()
 
-    def test_corrupt_legacy_bundle_is_a_miss_and_removed(self, cache):
-        path = cache.legacy_path_for("graph", "b" * 40)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"truncated garbage")
-        assert cache.load("graph", "b" * 40) is None
-        assert not path.exists()
-
     def test_unknown_kind_rejected(self, cache):
         with pytest.raises(CacheError):
             cache.path_for("nonsense", "a" * 40)
         with pytest.raises(CacheError):
             cache.clean(kind="nonsense")
-
-    def test_reserved_array_name_rejected(self, cache):
-        with pytest.raises(CacheError):
-            cache.store("graph", "c" * 40, {"__repro_cache__": np.arange(2)})
 
 
 class TestClean:

@@ -94,6 +94,71 @@ def test_read_is_tolerant_of_junk_lines(tmp_path):
     assert [s["seconds"] for s in store.samples()] == [0.1, 0.2]
 
 
+def test_append_after_killed_writer_keeps_every_new_sample(tmp_path):
+    """A worker killed mid-append leaves a final line with no newline; the
+    next process's first sample must not be glued onto it and lost."""
+    path = tmp_path / "samples.jsonl"
+    MeasurementStore(path).append([sample(0.0), sample(1.0)])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(sample(2.0))[:-20])  # killed mid-write
+    store = MeasurementStore(path)
+    assert store.append([sample(3.0), sample(4.0)]) == 2
+    assert [s["seconds"] for s in store.samples()] == [0.0, 1.0, 3.0, 4.0]
+
+
+def test_each_batch_is_one_write(tmp_path, monkeypatch):
+    """One ``os.write`` per batch, so a concurrent worker can never see
+    (and mistake for an orphan) half of another worker's line."""
+    import os
+
+    writes = []
+    real_write = os.write
+
+    def spy(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    store = MeasurementStore(tmp_path / "samples.jsonl")
+    monkeypatch.setattr(os, "write", spy)
+    store.append([sample(0.1), sample(0.2), sample(0.3)])
+    monkeypatch.undo()
+    ours = [w for w in writes if b'"trace_key"' in w]
+    assert len(ours) == 1 and ours[0].count(b"\n") == 3
+
+
+def _append_batches(path, worker, batches, size):
+    store = MeasurementStore(path)
+    for b in range(batches):
+        store.append(
+            [sample(float(i), trace_key=f"{worker}-{b}") for i in range(size)]
+        )
+
+
+def test_concurrent_appenders_lose_no_line(tmp_path):
+    """More writer processes than cores on one file: every sample of
+    every batch comes back whole."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("spawn")
+    path = tmp_path / "samples.jsonl"
+    workers, batches, size = 4, 25, 40
+    procs = [
+        ctx.Process(target=_append_batches, args=(path, w, batches, size))
+        for w in range(workers)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+    assert [proc.exitcode for proc in procs] == [0] * workers
+    got = MeasurementStore(path).samples()
+    assert len(got) == workers * batches * size
+    per_batch = {}
+    for s in got:
+        per_batch[s["trace_key"]] = per_batch.get(s["trace_key"], 0) + 1
+    assert set(per_batch.values()) == {size}
+
+
 def test_memoized_reads_track_file_changes(tmp_path):
     store = MeasurementStore(tmp_path / "samples.jsonl")
     store.append([sample(0.1)])
