@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.edgeorder.hilbert import hilbert_order_edges
-from repro.experiments.runner import prepare, _locality_window
+from repro.experiments.runner import prepare
 from repro.graph.coo import COOEdges
 from repro.machine.cost import DEFAULT_COST_MODEL, PartitionWork
-from repro.machine.locality import line_hit_fraction
+from repro.machine.locality import line_hit_fraction, reuse_window
 from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
 
@@ -33,7 +33,7 @@ def per_partition_times(graph, ordering: str, edge_order: str):
     stats = compute_stats(g, b)
     # per-partition miss fractions measured from the partition's own edge
     # stream, in the chosen traversal order
-    window = _locality_window(g.num_vertices)
+    window = reuse_window(g.num_vertices)
     if edge_order == "hilbert":
         coo = hilbert_order_edges(COOEdges.from_graph(g, order="csr"))
     else:

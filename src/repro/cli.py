@@ -131,6 +131,14 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _leaf(sub, name: str, handler, help: str, **defaults) -> argparse.ArgumentParser:
+    """Declare one subcommand: its parser, its help and the handler
+    ``main`` calls (plus any fixed ``defaults`` the handler reads)."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(handler=handler, **defaults)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vebo-reorder",
@@ -158,11 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
         "eagerly (equivalent to REPRO_MMAP=1): zero-copy, read-only, "
         "bit-identical results",
     )
+    parser.set_defaults(handler=None)
     sub = parser.add_subparsers(dest="command")
 
-    reorder = sub.add_parser(
-        "reorder",
-        help="reorder a graph file and report partition balance "
+    reorder = _leaf(
+        sub, "reorder", _cmd_reorder,
+        "reorder a graph file and report partition balance "
         "(the paper artifact's interface)",
     )
     _add_reorder_args(reorder)
@@ -176,12 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dsub = datasets.add_subparsers(dest="datasets_command", required=True)
 
-    dlist = dsub.add_parser("list", help="show registered datasets and cache status")
-    _add_cache_flags(dlist)
+    _leaf(dsub, "list", _cmd_datasets_list, "show registered datasets and cache status")
 
-    dbuild = dsub.add_parser(
-        "build",
-        help="build dataset graphs (and optionally orderings/partitions) "
+    dbuild = _leaf(
+        dsub, "build", _cmd_datasets_build,
+        "build dataset graphs (and optionally orderings/partitions) "
         "into the artifact cache",
     )
     dbuild.add_argument(
@@ -201,15 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     dbuild.add_argument(
         "--refresh", action="store_true", help="rebuild even on a cache hit"
     )
-    _add_cache_flags(dbuild)
 
-    dclean = dsub.add_parser("clean", help="delete cache-owned artifact bundles")
+    dclean = _leaf(dsub, "clean", _cmd_clean, "delete cache-owned artifact bundles")
     dclean.add_argument(
         "--kind", default=None,
         choices=("graph", "ordering", "partition", "edgeorder", "trace"),
         help="restrict to one artifact family (default: all)",
     )
-    _add_cache_flags(dclean)
 
     traces = sub.add_parser(
         "traces",
@@ -220,12 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tsub = traces.add_subparsers(dest="traces_command", required=True)
 
-    tlist = tsub.add_parser("list", help="show stored execution traces")
-    _add_cache_flags(tlist)
+    _leaf(tsub, "list", _cmd_traces_list, "show stored execution traces")
 
-    tbuild = tsub.add_parser(
-        "build",
-        help="execute a (graphs x orderings x algorithms) matrix once per "
+    tbuild = _leaf(
+        tsub, "build", _cmd_traces_build,
+        "execute a (graphs x orderings x algorithms) matrix once per "
         "identity and persist every trace — a later sweep replays them "
         "under any framework without executing anything",
     )
@@ -244,24 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
     tbuild.add_argument(
         "--refresh", action="store_true", help="re-execute even on a stored trace"
     )
-    _add_cache_flags(tbuild)
 
-    tclean = tsub.add_parser("clean", help="delete stored execution traces")
-    _add_cache_flags(tclean)
+    _leaf(tsub, "clean", _cmd_clean, "delete stored execution traces", kind="trace")
 
     machines = sub.add_parser(
         "machines",
         help="machine personalities: registry, calibration, JSON files",
     )
     msub = machines.add_subparsers(dest="machines_command", required=True)
-    mlist = msub.add_parser(
-        "list", help="show the machine-model registry (built-in + user files)"
+    _leaf(
+        msub, "list", _cmd_machines_list,
+        "show the machine-model registry (built-in + user files)",
     )
-    _add_cache_flags(mlist)
 
-    mcal = msub.add_parser(
-        "calibrate",
-        help="fit cost-model knobs (time scale, miss penalty, remote "
+    mcal = _leaf(
+        msub, "calibrate", _cmd_machines_calibrate,
+        "fit cost-model knobs (time scale, miss penalty, remote "
         "factor) from the measurement store's recorded chunk timings",
     )
     mcal.add_argument(
@@ -282,28 +285,26 @@ def build_parser() -> argparse.ArgumentParser:
         "directory (<cache root>/machines/), so later invocations can "
         "price on it by name",
     )
-    _add_cache_flags(mcal)
 
-    madd = msub.add_parser(
-        "add",
-        help="install a machine JSON file into the user machines "
+    madd = _leaf(
+        msub, "add", _cmd_machines_add,
+        "install a machine JSON file into the user machines "
         "directory; later invocations register it automatically",
     )
     madd.add_argument("file", help="machine personality JSON file")
-    _add_cache_flags(madd)
 
-    msave = msub.add_parser(
-        "save", help="write a registered machine to a JSON personality file"
+    msave = _leaf(
+        msub, "save", _cmd_machines_save,
+        "write a registered machine to a JSON personality file",
     )
     msave.add_argument("machine", help="registered machine name")
     msave.add_argument("file", help="output JSON file")
-    _add_cache_flags(msave)
 
-    mload = msub.add_parser(
-        "load", help="validate a machine JSON file and show its knobs"
+    mload = _leaf(
+        msub, "load", _cmd_machines_load,
+        "validate a machine JSON file and show its knobs",
     )
     mload.add_argument("file", help="machine personality JSON file")
-    _add_cache_flags(mload)
 
     sweep = sub.add_parser(
         "sweep",
@@ -313,8 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssub = sweep.add_subparsers(dest="sweep_command", required=True)
 
-    srun = ssub.add_parser(
-        "run", help="execute the sweep matrix (process pool + results store)"
+    srun = _leaf(
+        ssub, "run", _cmd_sweep_run,
+        "execute the sweep matrix (process pool + results store)",
+        replay_only=False,
     )
     _add_matrix_flags(srun)
     srun.add_argument(
@@ -339,19 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
         "replayed, cells/sec, ETA) even when stderr is not a TTY",
     )
     _add_sweep_out_flag(srun)
-    _add_cache_flags(srun)
 
-    sstatus = ssub.add_parser(
-        "status", help="show completed/pending cells of a sweep matrix"
+    sstatus = _leaf(
+        ssub, "status", _cmd_sweep_status,
+        "show completed/pending cells of a sweep matrix",
     )
     _add_matrix_flags(sstatus)
     _add_sweep_out_flag(sstatus)
-    _add_cache_flags(sstatus)
 
-    sreprice = ssub.add_parser(
-        "reprice",
-        help="price the (framework x machine) matrix from the warm trace "
+    sreprice = _leaf(
+        ssub, "reprice", _cmd_sweep_run,
+        "price the (framework x machine) matrix from the warm trace "
         "store with ZERO executions (errors on any trace miss)",
+        replay_only=True, resume=True,
     )
     _add_matrix_flags(sreprice)
     sreprice.add_argument(
@@ -359,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: 1; pricing is cheap, 1 is fine)",
     )
     _add_sweep_out_flag(sreprice)
-    _add_cache_flags(sreprice)
 
-    sreport = ssub.add_parser(
-        "report", help="rebuild the runtime matrix + headline speedups from disk"
+    sreport = _leaf(
+        ssub, "report", _cmd_sweep_report,
+        "rebuild the runtime matrix + headline speedups from disk",
     )
     _add_sweep_out_flag(sreport)
     sreport.add_argument(
@@ -373,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--target", default="vebo", metavar="ORDERING",
         help="speedup target ordering (default: vebo)",
     )
-    _add_cache_flags(sreport)
 
     obs_cmd = sub.add_parser(
         "obs",
@@ -382,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     osub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
-    oreport = osub.add_parser(
-        "report",
-        help="summary tables: measured band load-imbalance per "
+    oreport = _leaf(
+        osub, "report", _cmd_obs_report,
+        "summary tables: measured band load-imbalance per "
         "(algorithm, graph, ordering), cache hit rates, dedup ratio, "
         "slowest spans",
     )
@@ -392,31 +394,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=10, metavar="N",
         help="how many slowest spans to show (default: 10)",
     )
-    _add_obs_dir_flag(oreport)
-    _add_cache_flags(oreport)
 
-    oexport = osub.add_parser(
-        "export",
-        help="export the event log as a Chrome trace-event timeline "
+    oexport = _leaf(
+        osub, "export", _cmd_obs_export,
+        "export the event log as a Chrome trace-event timeline "
         "(open in Perfetto or about://tracing)",
     )
     oexport.add_argument(
         "--chrome", required=True, metavar="FILE",
         help="output path for the trace-event JSON",
     )
-    _add_obs_dir_flag(oexport)
-    _add_cache_flags(oexport)
 
-    ovalidate = osub.add_parser(
-        "validate", help="check every event line against the schema"
-    )
-    _add_obs_dir_flag(ovalidate)
-    _add_cache_flags(ovalidate)
+    _leaf(osub, "validate", _cmd_obs_validate, "check every event line against the schema")
+    _leaf(osub, "clean", _cmd_obs_clean, "delete recorded event files")
+    for leaf in osub.choices.values():
+        _add_obs_dir_flag(leaf)
 
-    oclean = osub.add_parser("clean", help="delete recorded event files")
-    _add_obs_dir_flag(oclean)
-    _add_cache_flags(oclean)
-
+    # Every subcommand but `reorder` takes the cache flags, last.
+    for group in (dsub, tsub, msub, ssub, osub):
+        for leaf in group.choices.values():
+            _add_cache_flags(leaf)
     return parser
 
 
@@ -565,16 +562,9 @@ def _cmd_datasets_build(args) -> int:
     for name in names:
         t0 = time.perf_counter()
         try:
-            spec = store.get_dataset(name)
-            # Only forward the knobs this spec actually accepts, so custom
-            # datasets registered with other parameter names still build.
-            params = {
-                k: v
-                for k, v in (("scale", args.scale), ("seed", args.seed))
-                if k in spec.defaults
-            }
             graph = store.load_graph(
-                name, cache=cache_arg, refresh=args.refresh, **params
+                name, cache=cache_arg, refresh=args.refresh,
+                **_dataset_params(args, name),
             )
         except ReproError as exc:
             _log.error(f"{name}: {exc}")
@@ -606,13 +596,24 @@ def _cmd_datasets_build(args) -> int:
     return status
 
 
+def _dataset_params(args, name: str) -> dict:
+    """The ``--scale``/``--seed`` values dataset ``name`` accepts, so
+    custom datasets registered with other parameter names still build."""
+    from repro import store
+
+    defaults = store.get_dataset(name).defaults
+    return {
+        k: v for k, v in (("scale", args.scale), ("seed", args.seed)) if k in defaults
+    }
+
+
 def _matrix_from_args(args):
     """Parse the shared matrix flags into ``(graphs, algorithms,
     orderings, params_by_graph, algo_kwargs)``.
 
     This is the single source of truth for how CLI flags become
-    execution inputs — the per-graph params filter (only knobs the spec
-    accepts, as ``datasets build`` does) and the fixed-iteration kwargs
+    execution inputs — the per-graph params filter (:func:`_dataset_params`,
+    shared with ``datasets build``) and the fixed-iteration kwargs
     convention (PR/BP take ``--iterations``).  Both ``sweep`` and
     ``traces build`` go through it, so the trace keys a build writes are
     exactly the keys a later sweep looks up.
@@ -631,14 +632,7 @@ def _matrix_from_args(args):
         for a in algorithms
         if a in ("PR", "BP")
     }
-    params_by_graph = {}
-    for name in graphs:
-        spec = store.get_dataset(name)
-        params_by_graph[name] = {
-            k: v
-            for k, v in (("scale", args.scale), ("seed", args.seed))
-            if k in spec.defaults
-        }
+    params_by_graph = {name: _dataset_params(args, name) for name in graphs}
     return graphs, algorithms, orderings, params_by_graph, algo_kwargs
 
 
@@ -691,24 +685,46 @@ def _resolve_sweep_out(args, cache):
 
 
 def _cmd_sweep_run(args) -> int:
-    from repro.experiments import ResultsStore, run_cells
+    """`sweep run`, and `sweep reprice` (``args.replay_only``).
 
-    cache = _resolve_cli_cache(args)
+    Repricing prices the (framework x machine) matrix from the warm trace
+    store with **zero** algorithm executions: every execution group must
+    replay, and a miss aborts the whole command with a pointer at
+    `traces build` instead of quietly running the algorithm.  Cells
+    already in the results store are skipped (repricing is idempotent),
+    so the command composes with earlier sweeps and with itself.
+    """
+    from repro.experiments import ResultsStore, run_cells
+    from repro.machine.models import available_machines
+
+    reprice = args.replay_only
+    if reprice:
+        cache = _require_cache(args, "the trace store", "sweep reprice")
+    else:
+        cache = _resolve_cli_cache(args)
     _register_user_machines(cache)
     out = _resolve_sweep_out(args, cache)
     store = ResultsStore(out)
-    existing = len(store)
-    if existing and not args.resume:
-        _log.error(
-            f"results store {out} already holds {existing} cell(s); "
-            "pass --resume to skip completed cells, or choose a fresh --out"
+    if reprice:
+        machines = _machines_from_args(args, default=available_machines())
+        cells = _sweep_cells_from_args(args, default_machines=machines)
+        _log.info(
+            f"reprice: {len(cells)} cell(s) across {len(machines)} machine "
+            f"model(s) ({', '.join(machines)}) -> {out}  (jobs={args.jobs})"
         )
-        return 1
-    cells = _sweep_cells_from_args(args)
+    else:
+        existing = len(store)
+        if existing and not args.resume:
+            _log.error(
+                f"results store {out} already holds {existing} cell(s); "
+                "pass --resume to skip completed cells, or choose a fresh --out"
+            )
+            return 1
+        cells = _sweep_cells_from_args(args)
+        _log.info(f"sweep: {len(cells)} cell(s) -> {out}  (jobs={args.jobs})")
+        if args.resume and existing:
+            _log.info(f"resume: {existing} cell(s) already in the store")
     total = len(cells)
-    _log.info(f"sweep: {total} cell(s) -> {out}  (jobs={args.jobs})")
-    if args.resume and existing:
-        _log.info(f"resume: {existing} cell(s) already in the store")
     counts = {"done": 0, "skipped": 0}
 
     # Periodic heartbeat for long sweeps, built on the obs metrics
@@ -716,7 +732,7 @@ def _cmd_sweep_run(args) -> int:
     # default only when stderr is a terminal — in pipes and CI logs the
     # per-cell lines already tell the story — unless --progress insists.
     heartbeat = None
-    if args.progress or sys.stderr.isatty():
+    if not reprice and (args.progress or sys.stderr.isatty()):
         heartbeat = obs.ProgressHeartbeat(
             total, emit=lambda line: print(line, file=sys.stderr, flush=True)
         )
@@ -727,8 +743,6 @@ def _cmd_sweep_run(args) -> int:
         n = counts["done"] + counts["skipped"]
         _log.info(f"[{n}/{total}] {cell.label()}: {tag}")
         if heartbeat is not None:
-            # No status kwargs: run_cells maintains the executed/
-            # replayed/resumed counters the heartbeat renders from.
             heartbeat.tick()
 
     t0 = time.perf_counter()
@@ -739,14 +753,23 @@ def _cmd_sweep_run(args) -> int:
         store=store,
         resume=args.resume,
         cache=cache if cache is not None else False,
+        replay_only=reprice,
         progress=progress,
         stats=stats,
     )
+    elapsed = time.perf_counter() - t0
+    if reprice:
+        _log.info(
+            f"reprice complete: {counts['done']} cell(s) priced from "
+            f"{stats['replayed']} stored trace(s), {counts['skipped']} already "
+            f"in the store, {stats['executed']} executed fresh, {elapsed:.3f}s"
+        )
+        return 0
     if heartbeat is not None and total:
         print(heartbeat.render(), file=sys.stderr, flush=True)
     _log.info(
         f"sweep complete: {counts['done']} computed, {counts['skipped']} "
-        f"resumed from store, {time.perf_counter() - t0:.3f}s"
+        f"resumed from store, {elapsed:.3f}s"
     )
     if stats.get("groups"):
         _log.info(
@@ -759,63 +782,16 @@ def _cmd_sweep_run(args) -> int:
     return 0
 
 
-def _cmd_sweep_reprice(args) -> int:
-    """Price the (framework x machine) matrix from the warm trace store.
-
-    The contract: **zero** algorithm executions.  Every execution group
-    must replay from the persistent trace store; a miss aborts the whole
-    command with a pointer at `traces build` instead of quietly running
-    the algorithm.  Cells already in the results store are skipped
-    (repricing is idempotent), so the command composes with earlier
-    sweeps and with itself.
-    """
-    from repro.experiments import ResultsStore, run_cells
-    from repro.machine.models import available_machines
-
+def _require_cache(args, store: str, command: str):
+    """The invocation's artifact cache, for a command that needs ``store``
+    (which lives in it); a :class:`ReproError` when caching is disabled."""
     cache = _resolve_cli_cache(args)
     if cache is None:
-        _log.error(
-            "`sweep reprice` replays the trace store, which lives in "
-            "the artifact cache; it cannot run with caching disabled"
+        raise ReproError(
+            f"{store} lives in the artifact cache; `{command}` cannot run "
+            "with caching disabled"
         )
-        return 1
-    _register_user_machines(cache)
-    out = _resolve_sweep_out(args, cache)
-    store = ResultsStore(out)
-    machines = _machines_from_args(args, default=available_machines())
-    cells = _sweep_cells_from_args(args, default_machines=machines)
-    total = len(cells)
-    _log.info(
-        f"reprice: {total} cell(s) across {len(machines)} machine model(s) "
-        f"({', '.join(machines)}) -> {out}  (jobs={args.jobs})"
-    )
-    counts = {"done": 0, "skipped": 0}
-
-    def progress(cell, result, skipped):
-        counts["skipped" if skipped else "done"] += 1
-        tag = "cached" if skipped else f"{result.seconds:.4g}s"
-        n = counts["done"] + counts["skipped"]
-        _log.info(f"[{n}/{total}] {cell.label()}: {tag}")
-
-    t0 = time.perf_counter()
-    stats: dict = {}
-    run_cells(
-        cells,
-        jobs=args.jobs,
-        store=store,
-        resume=True,
-        cache=cache,
-        replay_only=True,
-        progress=progress,
-        stats=stats,
-    )
-    _log.info(
-        f"reprice complete: {counts['done']} cell(s) priced from "
-        f"{stats['replayed']} stored trace(s), {counts['skipped']} already "
-        f"in the store, {stats['executed']} executed fresh, "
-        f"{time.perf_counter() - t0:.3f}s"
-    )
-    return 0
+    return cache
 
 
 def _register_user_machines(cache) -> int:
@@ -856,13 +832,7 @@ def _cmd_machines_calibrate(args) -> int:
     from repro.metrics import calibration_report
     from repro.store.measurements import MeasurementStore
 
-    cache = _resolve_cli_cache(args)
-    if cache is None:
-        _log.error(
-            "`machines calibrate` reads the measurement store, which "
-            "lives in the artifact cache; it cannot run with caching disabled"
-        )
-        return 1
+    cache = _require_cache(args, "the measurement store", "machines calibrate")
     _register_user_machines(cache)
     mstore = MeasurementStore.in_cache(cache)
     records = mstore.samples()
@@ -905,13 +875,7 @@ def _cmd_machines_add(args) -> int:
         MACHINES, load_machine, save_machine, user_machines_dir,
     )
 
-    cache = _resolve_cli_cache(args)
-    if cache is None:
-        _log.error(
-            "the user machines directory lives in the artifact "
-            "cache; `machines add` cannot run with caching disabled"
-        )
-        return 1
+    cache = _require_cache(args, "the user machines directory", "machines add")
     _register_user_machines(cache)
     model = load_machine(args.file)
     existing = MACHINES.get(model.name)
@@ -1070,13 +1034,7 @@ def _cmd_traces_build(args) -> int:
     from repro.experiments import execute, prepare
     from repro.frameworks.personality import ACCOUNTING_CHUNKS
 
-    cache = _resolve_cli_cache(args)
-    if cache is None:
-        _log.error(
-            "the trace store lives in the artifact cache; "
-            "`traces build` cannot run with caching disabled"
-        )
-        return 1
+    cache = _require_cache(args, "the trace store", "traces build")
     partitions = args.partitions or ACCOUNTING_CHUNKS
     graphs, algorithms, orderings, params_by_graph, algo_kwargs = (
         _matrix_from_args(args)
@@ -1106,30 +1064,24 @@ def _cmd_traces_build(args) -> int:
     return 0
 
 
-def _cmd_traces_clean(args) -> int:
-    cache = _resolve_cli_cache(args)
-    if cache is None:
-        print("cache: disabled; nothing to clean")
-        return 0
-    removed = cache.clean(kind="trace")
-    print(f"removed {len(removed)} trace(s) from {cache.root}")
-    return 0
-
-
-def _cmd_datasets_clean(args) -> int:
+def _cmd_clean(args) -> int:
+    """`datasets clean`, and `traces clean` (``--kind trace``)."""
     cache = _resolve_cli_cache(args)
     if cache is None:
         print("cache: disabled; nothing to clean")
         return 0
     removed = cache.clean(kind=args.kind)
-    print(f"removed {len(removed)} artifact(s) from {cache.root}")
+    noun = "trace(s)" if args.command == "traces" else "artifact(s)"
+    print(f"removed {len(removed)} {noun} from {cache.root}")
     return 0
 
 
-def _resolve_obs_dir_arg(args):
+def _resolve_obs_dir_arg(args, required: bool = True):
     """The event-log directory an ``obs`` subcommand operates on:
     ``--dir`` > the resolved cache root's ``obs/`` > the library default
-    (``REPRO_OBS_DIR``, else the default cache's ``obs/``)."""
+    (``REPRO_OBS_DIR``, else the default cache's ``obs/``).  With the cache
+    disabled there may be none: ``None``, or a :class:`ReproError` when
+    the command cannot go on without one (``required``)."""
     from pathlib import Path
 
     if getattr(args, "dir", None):
@@ -1138,19 +1090,19 @@ def _resolve_obs_dir_arg(args):
         cache = _resolve_cli_cache(args)
         if cache is not None:
             return cache.root / "obs"
-    return obs.resolve_obs_dir()
+    root = obs.resolve_obs_dir()
+    if root is None and required:
+        raise ReproError(
+            "no event-log location: pass --dir PATH (the cache is disabled, "
+            "so there is no default)"
+        )
+    return root
 
 
 def _cmd_obs_report(args) -> int:
     from repro.obs.report import render_obs_report
 
     root = _resolve_obs_dir_arg(args)
-    if root is None:
-        _log.error(
-            "no event-log location: pass --dir PATH (the cache is disabled, "
-            "so there is no default)"
-        )
-        return 1
     _log.debug(f"event log: {root}")
     print(render_obs_report(root, top=args.top))
     return 0
@@ -1160,12 +1112,6 @@ def _cmd_obs_export(args) -> int:
     from repro.obs.export import export_chrome
 
     root = _resolve_obs_dir_arg(args)
-    if root is None:
-        _log.error(
-            "no event-log location: pass --dir PATH (the cache is disabled, "
-            "so there is no default)"
-        )
-        return 1
     count = export_chrome(args.chrome, root)
     _log.info(
         f"wrote {count} trace event(s) -> {args.chrome} "
@@ -1177,7 +1123,7 @@ def _cmd_obs_export(args) -> int:
 def _cmd_obs_validate(args) -> int:
     from repro.obs.schema import validate_events
 
-    root = _resolve_obs_dir_arg(args)
+    root = _resolve_obs_dir_arg(args, required=False)
     events = obs.read_events(root) if root is not None else []
     if not events:
         print(f"no events under {root} (run with REPRO_OBS=1 or --obs)")
@@ -1194,7 +1140,7 @@ def _cmd_obs_validate(args) -> int:
 
 
 def _cmd_obs_clean(args) -> int:
-    root = _resolve_obs_dir_arg(args)
+    root = _resolve_obs_dir_arg(args, required=False)
     if root is None or not root.is_dir():
         print("no event log to clean")
         return 0
@@ -1216,46 +1162,38 @@ def main(argv: list[str] | None = None) -> int:
     head = next((a for a in argv if not a.startswith("-")), None)
     if head is not None and head not in _SUBCOMMANDS:
         argv.insert(0, "reorder")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     configure_logging(
         verbose=getattr(args, "log_verbose", 0),
         quiet=getattr(args, "log_quiet", False),
     )
-    # --obs sets the environment variable (rather than some in-process
-    # flag) so sweep pool workers inherit the gate; restored afterwards
-    # so in-process callers (tests, notebooks) see no leak.
-    obs_env_set = False
-    if getattr(args, "obs_on", False) and not os.environ.get(obs.OBS_ENV_VAR):
-        os.environ[obs.OBS_ENV_VAR] = "1"
-        obs_env_set = True
-    # --no-cache is the per-invocation form of REPRO_CACHE_OFF (the help
-    # text documents them as equivalent).  Exporting it keeps secondary
-    # consumers honest too: sweep pool workers, the measurement store,
-    # and the obs sink — which would otherwise drop an event log under
-    # the default cache root the user just asked us not to write to.
-    cache_off_set = False
-    if getattr(args, "no_cache", False) and not os.environ.get("REPRO_CACHE_OFF"):
-        os.environ["REPRO_CACHE_OFF"] = "1"
-        cache_off_set = True
-    # --mmap likewise exports REPRO_MMAP so sweep pool workers inherit it.
-    mmap_env_set = False
-    if getattr(args, "mmap_on", False) and not os.environ.get("REPRO_MMAP"):
-        os.environ["REPRO_MMAP"] = "1"
-        mmap_env_set = True
-    # --cache-dir moves the whole on-disk footprint, event log included;
-    # without this the obs sink would keep writing under the env/default
-    # cache root the user just redirected away from.
-    obs_dir_set = False
-    cli_cache_dir = getattr(args, "cache_dir", None)
-    if (
-        cli_cache_dir
-        and not cache_off_set
-        and not os.environ.get(obs.OBS_DIR_ENV_VAR)
+    if args.handler is None:
+        parser.print_help()
+        return 2
+    # The global flags export environment variables (rather than some
+    # in-process flag) so sweep pool workers inherit them, and so do the
+    # secondary consumers: the measurement store, and the obs sink, which
+    # would otherwise drop an event log under the default cache root that
+    # --no-cache (the per-invocation REPRO_CACHE_OFF) promised not to
+    # write to, or that --cache-dir redirected away from.  Each is
+    # restored afterwards so in-process callers (tests, notebooks) see no
+    # leak.
+    no_cache = getattr(args, "no_cache", False)
+    cache_dir = getattr(args, "cache_dir", None)
+    exported = []
+    for var, value in (
+        (obs.OBS_ENV_VAR, args.obs_on and "1"),
+        ("REPRO_CACHE_OFF", no_cache and "1"),
+        ("REPRO_MMAP", args.mmap_on and "1"),
+        (obs.OBS_DIR_ENV_VAR,
+         cache_dir and not no_cache and os.path.join(cache_dir, "obs")),
     ):
-        os.environ[obs.OBS_DIR_ENV_VAR] = os.path.join(cli_cache_dir, "obs")
-        obs_dir_set = True
+        if value and not os.environ.get(var):
+            os.environ[var] = value
+            exported.append(var)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except ReproError as exc:
         _log.error(str(exc))
         return 1
@@ -1265,60 +1203,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 0
     finally:
-        if obs_env_set:
-            os.environ.pop(obs.OBS_ENV_VAR, None)
-        if cache_off_set:
-            os.environ.pop("REPRO_CACHE_OFF", None)
-        if mmap_env_set:
-            os.environ.pop("REPRO_MMAP", None)
-        if obs_dir_set:
-            os.environ.pop(obs.OBS_DIR_ENV_VAR, None)
-
-
-def _dispatch(args) -> int:
-    if args.command == "datasets":
-        handler = {
-            "list": _cmd_datasets_list,
-            "build": _cmd_datasets_build,
-            "clean": _cmd_datasets_clean,
-        }[args.datasets_command]
-        return handler(args)
-    if args.command == "sweep":
-        handler = {
-            "run": _cmd_sweep_run,
-            "status": _cmd_sweep_status,
-            "report": _cmd_sweep_report,
-            "reprice": _cmd_sweep_reprice,
-        }[args.sweep_command]
-        return handler(args)
-    if args.command == "machines":
-        handler = {
-            "list": _cmd_machines_list,
-            "calibrate": _cmd_machines_calibrate,
-            "add": _cmd_machines_add,
-            "save": _cmd_machines_save,
-            "load": _cmd_machines_load,
-        }[args.machines_command]
-        return handler(args)
-    if args.command == "traces":
-        handler = {
-            "list": _cmd_traces_list,
-            "build": _cmd_traces_build,
-            "clean": _cmd_traces_clean,
-        }[args.traces_command]
-        return handler(args)
-    if args.command == "obs":
-        handler = {
-            "report": _cmd_obs_report,
-            "export": _cmd_obs_export,
-            "validate": _cmd_obs_validate,
-            "clean": _cmd_obs_clean,
-        }[args.obs_command]
-        return handler(args)
-    if args.command == "reorder":
-        return _cmd_reorder(args)
-    build_parser().print_help()
-    return 2
+        for var in exported:
+            os.environ.pop(var, None)
 
 
 if __name__ == "__main__":  # pragma: no cover

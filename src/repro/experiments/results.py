@@ -11,24 +11,23 @@ Two properties fall out of that design:
 
 * **Resumability** — an interrupted or re-invoked sweep reads the store,
   skips every cell whose key is already present, and computes only the
-  rest.  A line truncated by a crash mid-write fails to parse and is
-  simply recomputed; nothing before it is lost.
+  rest.  A line truncated by a crash mid-write, or one that no longer
+  decodes, is simply recomputed; nothing else is lost.
 * **Replayability** — ``metrics.tables`` (and the ``sweep report`` CLI)
   rebuild every table from disk without re-running anything, because the
   serialization round-trip is lossless (floats survive bit-identically
   through JSON's shortest-exact ``repr`` rendering).
 
-The store has a single writer (the sweep orchestrator in the parent
-process); workers return serializable results and never touch the file,
-so lines can never interleave.
+The line format, the crash-safe append and the tolerant, memoized read
+belong to :mod:`repro.store.appendlog`; this module keeps only what makes
+a line a result (a key and a parsable :class:`ExperimentResult`).  The
+store has a single writer (the sweep orchestrator in the parent process);
+workers return serializable results and never touch the file.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
-from typing import Iterator
 
 from repro.errors import ReproError, ResultsError
 from repro.experiments.runner import ExperimentResult
@@ -80,18 +79,31 @@ def result_cell_key(
     )
 
 
+def _entry(payload) -> tuple[str, dict | None, ExperimentResult] | None:
+    """``(key, meta, result)`` of one stored line; ``None`` for a foreign
+    or schema-mismatched line, which reads as "cell not done"."""
+    try:
+        result = ExperimentResult.from_dict(payload["result"])
+        return str(payload["key"]), payload.get("meta"), result
+    except (KeyError, TypeError, ReproError):
+        return None
+
+
 class ResultsStore:
     """An append-only JSONL sink of keyed :class:`ExperimentResult` lines.
 
     Each line is ``{"key": <40-hex cell key>, "result": {...}}``.  Reads
-    are tolerant: unparsable lines (a write truncated by a kill, a foreign
-    line) are skipped, and a duplicated key keeps its first occurrence —
-    append-only means the first write is the completed computation.
+    are tolerant: unreadable lines (a write truncated by a kill, a flipped
+    bit, a foreign line) are skipped, and a duplicated key keeps its first
+    occurrence — append-only means the first write is the completed
+    computation.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
-        self.path = Path(path)
-        self._cache: tuple[tuple[int, int], list] | None = None
+        from repro.store.appendlog import AppendLog
+
+        self._log = AppendLog(path, _entry)
+        self.path = self._log.path
 
     # ------------------------------------------------------------------
     # writing
@@ -99,71 +111,38 @@ class ResultsStore:
     def append(self, key: str, result: ExperimentResult, meta: dict | None = None) -> None:
         """Persist one completed cell (atomic at line granularity).
 
-        The line goes out in a single write (:func:`repro.store.appendlog
-        .append_lines`), so a crash can only ever truncate the *final*
-        line — which the tolerant reader treats as "cell not done", and
-        the next append terminates.  ``meta`` rides along untouched (the
-        orchestrator records the cell's dataset + build params so reports
-        can tell heterogeneous sweeps apart).
+        The line goes out in a single write, so a crash can only ever
+        truncate the *final* line — which the tolerant reader treats as
+        "cell not done", and the next append terminates.  ``meta`` rides
+        along untouched (the orchestrator records the cell's dataset +
+        build params so reports can tell heterogeneous sweeps apart).
         """
-        from repro.store.appendlog import append_lines
-
         payload = {"key": str(key), "result": result.to_dict()}
         if meta is not None:
             payload["meta"] = meta
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         try:
-            append_lines(self.path, [line])
+            self._log.append([payload])
         except OSError as exc:
             raise ResultsError(f"cannot append to results store {self.path}: {exc}") from exc
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def _iter_valid(self) -> Iterator[tuple[str, dict | None, ExperimentResult]]:
-        if not self.path.is_file():
-            return
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise ResultsError(f"cannot read results store {self.path}: {exc}") from exc
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                key = str(payload["key"])
-                meta = payload.get("meta")
-                result = ExperimentResult.from_dict(payload["result"])
-            except (json.JSONDecodeError, KeyError, TypeError, ReproError):
-                # truncated / foreign / schema-mismatched line: not-done
-                continue
-            yield key, meta, result
-
     def entries(self) -> list[tuple[str, dict | None, ExperimentResult]]:
         """``(key, meta, result)`` for every valid line, first key wins.
 
-        Parses are memoized against the file's (mtime_ns, size) stat
-        signature, so repeated queries (``len``, ``keys``, resume scans)
-        re-read the file only after it actually changed.
+        The parse is memoized against the file's stat signature, so
+        repeated queries (``len``, ``keys``, resume scans) re-read the
+        file only after it actually changed.
         """
         try:
-            st = self.path.stat()
-            sig = (st.st_mtime_ns, st.st_size)
-        except OSError:
-            sig = (-1, -1)
-        if self._cache is not None and self._cache[0] == sig:
-            return list(self._cache[1])
-        out: list[tuple[str, dict | None, ExperimentResult]] = []
-        seen: set[str] = set()
-        for key, meta, result in self._iter_valid():
-            if key not in seen:
-                seen.add(key)
-                out.append((key, meta, result))
-        self._cache = (sig, out)
-        return list(out)
+            entries = self._log.read()
+        except OSError as exc:
+            raise ResultsError(f"cannot read results store {self.path}: {exc}") from exc
+        first: dict[str, tuple[str, dict | None, ExperimentResult]] = {}
+        for entry in entries:
+            first.setdefault(entry[0], entry)
+        return list(first.values())
 
     def records(self) -> dict[str, ExperimentResult]:
         """``{key: result}`` for every valid line, first occurrence wins."""

@@ -33,7 +33,7 @@ from repro.frameworks.personality import (
 from repro.graph.coo import COOEdges
 from repro.graph.csr import Graph
 from repro.edgeorder.hilbert import hilbert_order_edges
-from repro.machine.locality import measure_stream
+from repro.machine.locality import measure_stream, reuse_window
 from repro.machine.models import DEFAULT_MACHINE, MachineModel, resolve_machine
 from repro.ordering import apply_ordering, get_ordering
 from repro.partition.algorithm1 import chunk_boundaries
@@ -160,15 +160,6 @@ def _edge_order_for(framework: str, ordering: str) -> str:
     return "csc"
 
 
-def _locality_window(num_vertices: int) -> int:
-    """Reuse window (in accesses) modelling a cache much smaller than the
-    graph.  The paper's graphs exceed the LLC by ~100x; our stand-ins are
-    small, so the window shrinks with the vertex count to keep the
-    cache:graph ratio — and therefore the *relative* locality of different
-    orders — comparable."""
-    return int(min(4096, max(64, num_vertices // 12)))
-
-
 #: base graph -> {(ordering, edge_order, perm digest) -> (src, dst) miss
 #: pair}.  The measurement is a deterministic function of the reordered
 #: layout and the traversal order, and repeated sweeps over one loaded
@@ -193,7 +184,7 @@ def _measure_locality(graph: Graph, edge_order: str, sample: int = 200_000) -> t
         start = (srcs.size - sample) // 2
         srcs = srcs[start : start + sample]
         dsts = dsts[start : start + sample]
-    window = _locality_window(graph.num_vertices)
+    window = reuse_window(graph.num_vertices)
     return (
         measure_stream(srcs, window=window).miss_fraction(),
         measure_stream(dsts, window=window).miss_fraction(),

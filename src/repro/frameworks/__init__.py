@@ -27,7 +27,6 @@ from repro.frameworks.personality import (
     LIGRA,
     POLYMER,
     RuntimeEstimate,
-    measure_layout_locality,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "LIGRA",
     "POLYMER",
     "RuntimeEstimate",
-    "measure_layout_locality",
 ]

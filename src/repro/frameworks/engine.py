@@ -53,7 +53,7 @@ _MISS_SAMPLE = 100_000
 
 def _stream_miss(srcs: np.ndarray, dsts: np.ndarray, num_vertices: int) -> tuple[float, float]:
     """Sampled miss fractions of one step's (source, destination) streams."""
-    from repro.machine.locality import line_hit_fraction
+    from repro.machine.locality import line_hit_fraction, reuse_window
 
     if srcs.size == 0:
         return 0.0, 0.0
@@ -61,7 +61,7 @@ def _stream_miss(srcs: np.ndarray, dsts: np.ndarray, num_vertices: int) -> tuple
         start = (srcs.size - _MISS_SAMPLE) // 2
         srcs = srcs[start : start + _MISS_SAMPLE]
         dsts = dsts[start : start + _MISS_SAMPLE]
-    window = int(min(4096, max(64, num_vertices // 12)))
+    window = reuse_window(num_vertices)
     return (
         1.0 - line_hit_fraction(srcs, window=window),
         1.0 - line_hit_fraction(dsts, window=window),

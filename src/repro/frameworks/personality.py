@@ -32,7 +32,6 @@ from repro.errors import SimulationError
 from repro.frameworks.trace import WorkTrace
 from repro.graph.csr import Graph
 from repro.machine.cost import CostModel, DEFAULT_COST_MODEL, PartitionWork
-from repro.machine.locality import measure_stream
 from repro.machine.numa import NUMATopology, PAPER_MACHINE
 from repro.machine.schedule import (
     cilk_recursive_schedule,
@@ -50,7 +49,6 @@ __all__ = [
     "POLYMER",
     "GRAPHGRIND",
     "FRAMEWORKS",
-    "measure_layout_locality",
 ]
 
 
@@ -105,28 +103,6 @@ class RuntimeEstimate:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed RuntimeEstimate payload: {exc}") from exc
-
-
-def measure_layout_locality(graph: Graph, sample_edges: int = 200_000) -> tuple[float, float]:
-    """Measure (source-stream, destination-stream) miss fractions of the
-    graph's CSC traversal order.
-
-    The CSC sweep reads ``value[src]`` for every in-edge and writes
-    ``accum[dst]``; the miss fractions of those two streams are the
-    locality signal the cost model consumes.  Streams longer than
-    ``sample_edges`` are sampled by a contiguous window to bound cost.
-    """
-    csc = graph.csc
-    srcs = csc.adj
-    n = graph.num_vertices
-    dsts = np.repeat(np.arange(n, dtype=np.int64), csc.degrees())
-    if srcs.size > sample_edges:
-        start = (srcs.size - sample_edges) // 2
-        srcs = srcs[start : start + sample_edges]
-        dsts = dsts[start : start + sample_edges]
-    src_loc = measure_stream(srcs)
-    dst_loc = measure_stream(dsts)
-    return src_loc.miss_fraction(), dst_loc.miss_fraction()
 
 
 @dataclass(frozen=True)
@@ -187,16 +163,15 @@ class FrameworkModel:
         self,
         trace: WorkTrace,
         graph: Graph,
-        locality: tuple[float, float] | None = None,
+        locality: tuple[float, float],
     ) -> RuntimeEstimate:
         """Convert a work trace into seconds.
 
-        ``locality`` is the (src, dst) miss-fraction pair; measured from
-        the graph layout when omitted.  Passing it explicitly lets sweeps
-        measure once per (graph, ordering) and price many algorithms.
+        ``locality`` is the (src, dst) miss-fraction pair of the layout
+        under the traversal this framework runs — the runner measures it
+        once per (graph, ordering, edge order) and prices many algorithms
+        with it.
         """
-        if locality is None:
-            locality = measure_layout_locality(graph)
         src_miss = min(1.0, self.miss_floor + self.miss_scale * locality[0])
         dst_miss = min(1.0, self.miss_floor + self.miss_scale * locality[1])
         if not self.locality_optimized:

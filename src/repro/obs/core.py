@@ -36,10 +36,13 @@ On-disk layout
 --------------
 Events persist under the *obs directory* — ``REPRO_OBS_DIR`` if set,
 else ``<artifact cache root>/obs`` — as one append-only, versioned JSONL
-file **per process**: ``events-<pid>.jsonl``.  One writer per file means
-no cross-process locking; within a process a lock serializes writes, so
-lines never interleave.  :func:`merge_process_files` folds finished
-workers' files into the calling process's own log (raw line append —
+file **per process**: ``events-<pid>.jsonl``, written and read through
+:mod:`repro.store.appendlog` like every other log of the repository (one
+``os.write`` per event on a descriptor held open for the process, orphan
+tails terminated, undecodable lines skipped on read).  One writer per file
+means no cross-process locking; within a process a lock serializes writes,
+so lines never interleave.  :func:`merge_process_files` folds finished
+workers' files into the calling process's own log (raw byte append —
 lossless by construction), which the sweep orchestrator does when its
 pool completes.  Every line carries ``{"v": EVENT_VERSION, "seq", "ts",
 "pid", "tid", "ph", "name", "cat", "args"}``; ``ts`` is microseconds
@@ -49,7 +52,6 @@ timestamps are monotonic per thread and comparable across processes.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -144,7 +146,7 @@ class _Sink:
         self.pid: int | None = None
         self.sig: tuple | None = None     # env signature the path was resolved under
         self.path: Path | None = None
-        self.fh = None
+        self.fd: int | None = None
         self.seq = 0
         #: wall-clock microseconds at perf_counter zero — one per process,
         #: so ts = _EPOCH + perf_counter is monotonic per thread (perf
@@ -207,14 +209,9 @@ def _ensure_open() -> bool:
         os.environ.get("REPRO_CACHE_DIR"),
         os.environ.get("REPRO_CACHE_OFF"),
     )
-    if s.fh is not None and s.sig == sig:
+    if s.fd is not None and s.sig == sig:
         return True
-    if s.fh is not None:
-        try:
-            s.fh.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
-        s.fh = None
+    _close_locked()
     path = events_path()
     if path is None:
         s.sig = sig
@@ -229,20 +226,31 @@ def _ensure_open() -> bool:
         s.seq = 0
     s.pid = pid
     s.sig = sig
+    from repro.store.appendlog import open_log
+
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        s.fh = open(path, "a", encoding="utf-8")
+        s.fd = open_log(path)
     except OSError:
-        s.fh = None
         return False
     s.path = path
     _write_locked("M", "process_name", {"name": "repro"}, cat="meta")
     return True
 
 
+def _close_locked() -> None:
+    if _SINK.fd is not None:
+        try:
+            os.close(_SINK.fd)
+        except OSError:  # pragma: no cover - best effort
+            pass
+        _SINK.fd = None
+
+
 def _write_locked(ph: str, name: str, args: dict | None, cat: str = "") -> None:
     """Serialize and append one line.  Caller holds the lock and has
     ensured the file is open."""
+    from repro.store.appendlog import encode, write_log
+
     s = _SINK
     s.seq += 1
     line = {
@@ -257,8 +265,7 @@ def _write_locked(ph: str, name: str, args: dict | None, cat: str = "") -> None:
     }
     if args:
         line["args"] = args
-    s.fh.write(json.dumps(line, sort_keys=True, separators=(",", ":"), default=str) + "\n")
-    s.fh.flush()
+    write_log(s.fd, encode([line], default=str))
 
 
 def _emit(ph: str, name: str, args: dict | None, cat: str = "") -> None:
@@ -273,12 +280,7 @@ def reset() -> None:
     production — the next event reopens lazily)."""
     global _EXPLICIT_DIR
     with _SINK.lock:
-        if _SINK.fh is not None:
-            try:
-                _SINK.fh.close()
-            except OSError:  # pragma: no cover
-                pass
-        _SINK.fh = None
+        _close_locked()
         _SINK.sig = None
         _SINK.path = None
     _EXPLICIT_DIR = None
@@ -531,38 +533,31 @@ def flush_metrics() -> None:
 # reading and merging
 # ----------------------------------------------------------------------
 
+def _event(line) -> dict | None:
+    return line if isinstance(line, dict) and line.get("v") == EVENT_VERSION else None
+
+
 def read_events(where: str | os.PathLike | None = None) -> list[dict]:
     """Every valid event line under the obs directory (or an explicit
     file/directory), in (pid, seq) order.
 
-    Tolerant like every store reader in this repository: unparsable lines
-    (a write truncated by a kill) and lines of a different schema version
-    are skipped, never fatal.
+    Tolerant like every log reader in this repository
+    (:func:`repro.store.appendlog.read_log`): undecodable lines (a write
+    truncated by a kill, a flipped bit) and lines of a different schema
+    version are skipped, and so are files that cannot be read.
     """
+    from repro.store.appendlog import read_log
+
     root = Path(where) if where is not None else resolve_obs_dir()
     if root is None:
         return []
-    paths = [root] if root.is_file() else sorted(root.glob("events-*.jsonl")) + (
-        sorted(root.glob("events.jsonl")) if root.is_dir() else []
-    )
+    paths = [root] if root.is_file() else sorted(root.glob("events-*.jsonl"))
     out: list[dict] = []
     for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            out.extend(read_log(path, _event))
         except OSError:
             continue
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                evt = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(evt, dict) or evt.get("v") != EVENT_VERSION:
-                continue
-            out.append(evt)
     out.sort(key=lambda e: (e.get("pid", 0), e.get("seq", 0)))
     return out
 
@@ -580,13 +575,15 @@ def _pid_alive(pid: int) -> bool:
 def merge_process_files(where: str | os.PathLike | None = None) -> int:
     """Fold finished processes' event files into this process's own log.
 
-    Lossless by construction: each foreign file's raw lines are appended
-    verbatim to our file, then the source is deleted.  Files belonging to
-    a *live* pid (another process mid-write — our own included) are left
-    alone.  Returns the number of files merged.  The sweep orchestrator
+    Lossless by construction: each foreign file's raw bytes are appended
+    verbatim to our file in one write, then the source is deleted.  Files
+    belonging to a *live* pid (another process mid-write — our own
+    included) are left alone.  Returns the number of files merged.  The sweep orchestrator
     calls this after its worker pool has exited, so one run's events end
     up in one file regardless of how many workers it fanned out.
     """
+    from repro.store.appendlog import write_log
+
     root = Path(where) if where is not None else resolve_obs_dir()
     if root is None or not root.is_dir():
         return 0
@@ -600,15 +597,13 @@ def merge_process_files(where: str | os.PathLike | None = None) -> int:
         if pid == own or _pid_alive(pid):
             continue
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                blob = fh.read()
+            blob = path.read_bytes()
         except OSError:
             continue
         with _SINK.lock:
             if not _ensure_open():
                 return merged
-            _SINK.fh.write(blob if blob.endswith("\n") or not blob else blob + "\n")
-            _SINK.fh.flush()
+            write_log(_SINK.fd, blob)
         path.unlink(missing_ok=True)
         merged += 1
     return merged
@@ -626,9 +621,7 @@ class ProgressHeartbeat:
     registry (``sweep.cells_executed`` etc. — the sweep orchestrator
     bumps those as cells land, whether or not event logging is on),
     against a baseline captured at construction so earlier sweeps in the
-    same process don't leak in.  ``tick(resumed=..., replayed=...)`` can
-    also bump them directly, for callers that drive the heartbeat alone.
-    ``emit`` receives the rendered line; ``interval`` seconds gate the
+    same process don't leak in.  ``emit`` receives the rendered line; ``interval`` seconds gate the
     output (the first tick never prints — a sweep shorter than one
     interval stays silent).  ``clock`` is injectable for tests.
     """
@@ -656,24 +649,10 @@ class ProgressHeartbeat:
         base = self.registry.snapshot()["counters"]
         self._base = {name: base.get(name, 0.0) for name in self._STATUS_COUNTERS}
 
-    def tick(
-        self, *, resumed: bool = False, replayed: bool = False,
-        executed: bool = False,
-    ) -> None:
-        """Record one completed cell; print when the interval elapsed.
-
-        The keyword flags bump the status counters directly — leave them
-        all False when something else (the sweep orchestrator) maintains
-        the counters."""
-        reg = self.registry
+    def tick(self) -> None:
+        """Record one completed cell; print when the interval elapsed."""
         self._done += 1
-        reg.counter("sweep.cells_done")
-        if resumed:
-            reg.counter("sweep.cells_resumed")
-        elif replayed:
-            reg.counter("sweep.cells_replayed")
-        elif executed:
-            reg.counter("sweep.cells_executed")
+        self.registry.counter("sweep.cells_done")
         now = self.clock()
         if now - self._last < self.interval:
             return

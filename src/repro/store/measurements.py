@@ -33,25 +33,25 @@ plan splits at Algorithm-1 partition boundaries, so the slice is exact),
 which is precisely the feature vector of the cost model
 (:mod:`repro.machine.cost`) — calibration is a linear fit away.
 
-Reads are tolerant (a line truncated by a kill is skipped) and each batch
-of samples is appended in a single write (:func:`repro.store.appendlog
-.append_lines`), so concurrent sweep workers record without coordination
-and the next append after a killed writer terminates its partial line
-instead of gluing a sample onto it.
+The log itself — line format, crash-safe append, tolerant memoized read —
+is :class:`repro.store.appendlog.AppendLog`; this module keeps only the
+rule for a valid sample (the current :data:`MEASUREMENT_VERSION`, with
+``seconds`` present).  Each batch of samples goes out in a single write,
+so concurrent sweep workers record without coordination, the next append
+after a killed writer terminates its partial line instead of gluing a
+sample onto it, and a line that no longer decodes is skipped.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from repro import obs
 from repro.errors import CacheError
-from repro.store.appendlog import append_lines
+from repro.store.appendlog import AppendLog
 
 __all__ = [
     "MEASUREMENT_VERSION",
@@ -69,6 +69,18 @@ MEASUREMENT_DIR = "measurement"
 MEASUREMENT_FILE = "samples.jsonl"
 
 
+def _sample(line) -> dict | None:
+    """A line of the current schema that carries its measurement, else
+    ``None`` (stale or foreign lines are skipped, never mixed in)."""
+    if (
+        isinstance(line, dict)
+        and line.get("version") == MEASUREMENT_VERSION
+        and "seconds" in line
+    ):
+        return line
+    return None
+
+
 class MeasurementStore:
     """Append-only JSONL sink of per-chunk timing samples.
 
@@ -77,8 +89,8 @@ class MeasurementStore:
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
-        self.path = Path(path)
-        self._cache: tuple[tuple[int, int], list[dict]] | None = None
+        self._log = AppendLog(path, _sample)
+        self.path = self._log.path
 
     @classmethod
     def in_cache(cls, cache=None) -> "MeasurementStore | None":
@@ -100,21 +112,17 @@ class MeasurementStore:
         """Persist samples, one JSON line each, in a single write.
 
         Multiple processes may append concurrently (sweep workers record
-        their own cells); see :func:`repro.store.appendlog.append_lines`.
+        their own cells).
         """
-        lines = [
-            json.dumps(s, sort_keys=True, separators=(",", ":")) for s in samples
-        ]
-        if not lines:
-            return 0
+        samples = list(samples)
         try:
-            append_lines(self.path, lines)
+            self._log.append(samples)
         except OSError as exc:
             raise CacheError(
                 f"cannot append to measurement store {self.path}: {exc}"
             ) from exc
-        count = len(lines)
-        if obs.enabled():
+        count = len(samples)
+        if count and obs.enabled():
             obs.event("measurements.append", cat="store", samples=count)
             obs.metrics().counter("measurements.samples", count)
         return count
@@ -123,56 +131,20 @@ class MeasurementStore:
     # reading
     # ------------------------------------------------------------------
     def samples(self) -> list[dict]:
-        """Every valid sample line, in file order.
-
-        Tolerant: unparsable lines and lines of a different schema
-        version are skipped.  Parses are memoized against the file's
-        (mtime_ns, size) signature.
-        """
+        """Every valid sample line, in file order."""
         try:
-            st = self.path.stat()
-            sig = (st.st_mtime_ns, st.st_size)
-        except OSError:
-            return []
-        if self._cache is not None and self._cache[0] == sig:
-            return list(self._cache[1])
-        out: list[dict] = []
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            return self._log.read()
         except OSError as exc:
             raise CacheError(
                 f"cannot read measurement store {self.path}: {exc}"
             ) from exc
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sample = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated by a kill: not a sample
-            if (
-                not isinstance(sample, dict)
-                or sample.get("version") != MEASUREMENT_VERSION
-                or "seconds" not in sample
-            ):
-                continue
-            out.append(sample)
-        self._cache = (sig, out)
-        return list(out)
 
     def count(self) -> int:
         return len(self.samples())
 
     def clean(self) -> bool:
         """Delete the sample file; returns whether anything was removed."""
-        self._cache = None
-        try:
-            self.path.unlink()
-            return True
-        except FileNotFoundError:
-            return False
+        return self._log.delete()
 
     def __len__(self) -> int:
         return self.count()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.algorithms import pagerank, bfs
+from repro.experiments.runner import _measure_locality
 from repro.frameworks.personality import (
     ACCOUNTING_CHUNKS,
     FRAMEWORKS,
@@ -12,7 +13,6 @@ from repro.frameworks.personality import (
     GRAPHGRIND,
     LIGRA,
     POLYMER,
-    measure_layout_locality,
 )
 from repro.graph import generators as gen
 
@@ -24,6 +24,12 @@ def social():
         degree_locality=0.5, neighbor_locality=0.4, source_skew=0.9,
         seed=17, name="pricing",
     )
+
+
+@pytest.fixture(scope="module")
+def locality(social):
+    """The (src, dst) miss pair the runner measures for a CSC traversal."""
+    return _measure_locality(social, "csc")
 
 
 @pytest.fixture(scope="module")
@@ -50,15 +56,15 @@ class TestPersonalityConfig:
 
 
 class TestPricing:
-    def test_price_positive_and_decomposed(self, social, pr_trace):
-        est = GRAPHGRIND.price(pr_trace, social)
+    def test_price_positive_and_decomposed(self, social, pr_trace, locality):
+        est = GRAPHGRIND.price(pr_trace, social, locality=locality)
         assert est.seconds > 0
         assert est.per_iteration.shape == (len(pr_trace.records),)
         assert est.seconds == pytest.approx(est.per_iteration.sum())
 
-    def test_pricing_deterministic(self, social, pr_trace):
-        a = GRAPHGRIND.price(pr_trace, social)
-        b = GRAPHGRIND.price(pr_trace, social)
+    def test_pricing_deterministic(self, social, pr_trace, locality):
+        a = GRAPHGRIND.price(pr_trace, social, locality=locality)
+        b = GRAPHGRIND.price(pr_trace, social, locality=locality)
         assert a.seconds == b.seconds
 
     def test_explicit_locality_used(self, social, pr_trace):
@@ -99,20 +105,21 @@ class TestPricing:
             >= dynamic.price(trace, social, locality=loc).seconds
         )
 
-    def test_measure_layout_locality_bounds(self, social):
-        src_miss, dst_miss = measure_layout_locality(social)
+    @pytest.mark.parametrize("edge_order", ["csc", "csr", "hilbert"])
+    def test_measure_locality_bounds(self, social, edge_order):
+        src_miss, dst_miss = _measure_locality(social, edge_order)
         assert 0.0 <= src_miss <= 1.0
         assert 0.0 <= dst_miss <= 1.0
 
-    def test_vertexmap_records_priced(self, social):
+    def test_vertexmap_records_priced(self, social, locality):
         trace = pagerank(social, num_iterations=1, num_partitions=48).trace
         kinds = [r.kind for r in trace.records]
         assert "vertexmap" in kinds
-        est = POLYMER.price(trace, social)
+        est = POLYMER.price(trace, social, locality=locality)
         vm_idx = kinds.index("vertexmap")
         assert est.per_iteration[vm_idx] > 0
 
-    def test_sparse_algorithm_priced(self, social):
+    def test_sparse_algorithm_priced(self, social, locality):
         trace = bfs(social, source=0, num_partitions=48).trace
-        est = LIGRA.price(trace, social)
+        est = LIGRA.price(trace, social, locality=locality)
         assert est.seconds > 0

@@ -110,6 +110,17 @@ class TestSpansAndEvents:
         assert [e["name"] for e in events if e["ph"] == "I"] == ["one", "two"]
         assert all(e["v"] == core.EVENT_VERSION for e in events)
 
+    def test_event_after_torn_tail_is_not_glued_onto_it(self, obs_dir):
+        obs.event("one")
+        core.reset()
+        path = obs_dir / f"events-{os.getpid()}.jsonl"
+        with open(path, "ab") as fh:
+            fh.write(b'{"v": 1, "seq": 99, "trunca')  # killed mid-write
+        obs.event("two")
+        names = [e["name"] for e in obs.read_events(obs_dir)]
+        assert names.count("process_name") == 2
+        assert [n for n in names if n != "process_name"] == ["one", "two"]
+
     def test_events_dropped_when_nowhere_to_go(self, monkeypatch, tmp_path):
         monkeypatch.setenv(core.OBS_ENV_VAR, "1")
         monkeypatch.delenv(core.OBS_DIR_ENV_VAR, raising=False)
@@ -198,8 +209,10 @@ class TestProgressHeartbeat:
         hb = obs.ProgressHeartbeat(
             10, emit=lines.append, interval=100.0, clock=clock, registry=reg,
         )
-        hb.tick(executed=True)
-        hb.tick(replayed=True)
+        reg.counter("sweep.cells_executed")  # orchestrator-maintained
+        hb.tick()
+        reg.counter("sweep.cells_replayed")
+        hb.tick()
         line = hb.render()
         assert line.startswith("progress: 2/10 cells (20%)")
         assert "1 executed, 1 replayed, 0 resumed" in line
