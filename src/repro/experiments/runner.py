@@ -441,7 +441,7 @@ def price(
                 memo[mkey] = pair
             prepared.locality[key] = pair
         locality = prepared.locality[key]
-    estimate = fw.on_machine(machine_model).price(execution.trace, g, locality=locality)
+    estimate = fw.on_machine(machine_model).price(execution.trace, locality=locality)
     return ExperimentResult(
         graph=graph.name,
         algorithm=execution.trace.algorithm,

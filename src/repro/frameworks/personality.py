@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.frameworks.trace import WorkTrace
-from repro.graph.csr import Graph
 from repro.machine.cost import CostModel, DEFAULT_COST_MODEL, PartitionWork
 from repro.machine.numa import NUMATopology, PAPER_MACHINE
 from repro.machine.schedule import (
@@ -159,18 +158,20 @@ class FrameworkModel:
         return replace(self, topology=topology, cost_model=cost_model)
 
     # ------------------------------------------------------------------
-    def price(
-        self,
-        trace: WorkTrace,
-        graph: Graph,
-        locality: tuple[float, float],
-    ) -> RuntimeEstimate:
+    def price(self, trace: WorkTrace, locality: tuple[float, float]) -> RuntimeEstimate:
         """Convert a work trace into seconds.
 
         ``locality`` is the (src, dst) miss-fraction pair of the layout
         under the traversal this framework runs — the runner measures it
         once per (graph, ordering, edge order) and prices many algorithms
         with it.
+
+        Each *unique* record of the trace is priced once: the engines
+        append the same record object for every repeated step (PR's dense
+        pulls), and replayed traces re-share one object per stored record.
+        Their per-partition costs form one (R x P) matrix, the framework's
+        scheduler returns the R makespans in one call, and every step
+        takes its record's makespan.
         """
         src_miss = min(1.0, self.miss_floor + self.miss_scale * locality[0])
         dst_miss = min(1.0, self.miss_floor + self.miss_scale * locality[1])
@@ -179,39 +180,32 @@ class FrameworkModel:
             # model as a higher effective miss fraction on the same layout.
             src_miss = min(1.0, src_miss * 1.25 + 0.05)
             dst_miss = min(1.0, dst_miss * 1.25 + 0.05)
-        topo = self.topology
         p = trace.num_partitions
-        homes = topo.partition_home_sockets(p)
+        homes = self.topology.partition_home_sockets(p)
 
-        per_iter = np.zeros(len(trace.records), dtype=np.float64)
-        # Replayed records price identically: the vectorized engine appends
-        # the *same* immutable record object for every dense step of an
-        # iterative algorithm (PR prices one dense pull, not ten), so memo
-        # on object identity.  Reference traces hold distinct objects and
-        # take the memo-miss path unchanged.  The memo is per price() call,
-        # which also keeps ids stable (records are alive in the trace).
-        memo: dict[int, float] = {}
-        for i, rec in enumerate(trace.records):
-            cached = memo.get(id(rec))
-            if cached is not None:
-                per_iter[i] = cached
-                continue
-            if rec.kind == "vertexmap":
-                per_iter[i] = self._price_vertexmap(rec, homes)
-            else:
-                # Prefer the record's own measured stream locality (it sees
-                # frontier-dependent effects a layout-level measurement
-                # cannot); dense pull steps in locality-optimized systems
-                # traverse the tuned COO order instead, so the layout-level
-                # pair still applies there.
-                rec_src, rec_dst = src_miss, dst_miss
-                if rec.src_miss >= 0.0 and not (
-                    self.locality_optimized and rec.density.value == "dense"
-                ):
-                    rec_src = min(1.0, self.miss_floor + self.miss_scale * rec.src_miss)
-                    rec_dst = min(1.0, self.miss_floor + self.miss_scale * rec.dst_miss)
-                per_iter[i] = self._price_edgemap(rec, rec_src, rec_dst, homes)
-            memo[id(rec)] = per_iter[i]
+        rows: dict[int, int] = {}
+        unique = []
+        step_rows = np.empty(len(trace.records), dtype=np.int64)
+        for step, record in enumerate(trace.records):
+            row = rows.setdefault(id(record), len(unique))
+            if row == len(unique):
+                unique.append(record)
+            step_rows[step] = row
+        edgemaps = [i for i, rec in enumerate(unique) if rec.kind != "vertexmap"]
+        vertexmaps = [i for i, rec in enumerate(unique) if rec.kind == "vertexmap"]
+
+        costs = np.zeros((len(unique), p), dtype=np.float64)
+        priced = np.ones(len(unique), dtype=bool)
+        if edgemaps:
+            costs[edgemaps] = self._edgemap_costs(
+                [unique[i] for i in edgemaps], src_miss, dst_miss, p)
+        if vertexmaps:
+            vm_costs, priced[vertexmaps] = self._vertexmap_costs(
+                [unique[i] for i in vertexmaps])
+            costs[vertexmaps] = vm_costs
+        makespans = np.zeros(len(unique), dtype=np.float64)
+        makespans[priced] = self._makespans(costs[priced], homes)
+        per_iter = makespans[step_rows]
         return RuntimeEstimate(
             seconds=float(per_iter.sum()),
             per_iteration=per_iter,
@@ -223,75 +217,92 @@ class FrameworkModel:
         )
 
     # ------------------------------------------------------------------
-    def partition_costs(
-        self, rec, src_miss: float, dst_miss: float, homes: np.ndarray
+    def _edgemap_costs(
+        self, records: list, src_miss: float, dst_miss: float, num_partitions: int
     ) -> np.ndarray:
-        """Per-partition seconds for one edgemap record (the Figure 1/4/6
-        per-partition series)."""
-        remote = self._remote_fraction(homes)
+        """(R x P) seconds of edgemap records: each row prices one record's
+        per-partition counters at that record's miss fractions."""
+        miss = np.empty((len(records), 2), dtype=np.float64)
+        for i, rec in enumerate(records):
+            # Prefer the record's own measured stream locality (it sees
+            # frontier-dependent effects a layout-level measurement
+            # cannot); dense pull steps in locality-optimized systems
+            # traverse the tuned COO order instead, so the layout-level
+            # pair still applies there.
+            miss[i] = src_miss, dst_miss
+            if rec.src_miss >= 0.0 and not (
+                self.locality_optimized and rec.density.value == "dense"
+            ):
+                miss[i] = (min(1.0, self.miss_floor + self.miss_scale * rec.src_miss),
+                           min(1.0, self.miss_floor + self.miss_scale * rec.dst_miss))
+        edges = np.array([rec.part_edges for rec in records], dtype=np.float64)
         work = PartitionWork(
-            edges=rec.part_edges.astype(np.float64),
-            unique_dsts=rec.part_dsts.astype(np.float64),
-            unique_srcs=rec.part_srcs.astype(np.float64),
-            vertices=np.zeros(rec.part_edges.size, dtype=np.float64),
-            src_miss_fraction=src_miss,
-            dst_miss_fraction=dst_miss,
+            edges=edges,
+            unique_dsts=np.array([rec.part_dsts for rec in records], dtype=np.float64),
+            unique_srcs=np.array([rec.part_srcs for rec in records], dtype=np.float64),
+            vertices=np.zeros_like(edges),
+            src_miss_fraction=miss[:, :1],
+            dst_miss_fraction=miss[:, 1:],
+        )
+        # NUMA-aware: a partition is processed by its home socket, remote
+        # only via sources living in other partitions; charge a small
+        # constant.  Interleaved arrays: a fixed remote share.
+        remote = np.full(
+            num_partitions, 0.15 if self.numa_aware else self.interleaved_remote_fraction
         )
         return self.cost_model.partition_seconds(work, remote_fraction=remote)
 
-    def _remote_fraction(self, homes: np.ndarray) -> np.ndarray:
-        if self.numa_aware:
-            # Partition processed by its home socket: remote only via
-            # sources living in other partitions; charge a small constant.
-            return np.full(homes.size, 0.15)
-        return np.full(homes.size, self.interleaved_remote_fraction)
+    def _vertexmap_costs(self, records: list) -> tuple[np.ndarray, np.ndarray]:
+        """(R x P) seconds of vertexmap records, and which rows to schedule.
 
-    def _price_edgemap(
-        self, rec, src_miss: float, dst_miss: float, homes: np.ndarray
-    ) -> float:
-        costs = self.partition_costs(rec, src_miss, dst_miss, homes)
-        return self._schedule(costs, homes)
-
-    def _price_vertexmap(self, rec, homes: np.ndarray) -> float:
-        # Vertexmap iterations are spread over all threads regardless of
-        # partition ownership; non-NUMA-local chunks pay remote bandwidth
-        # (the Table V vertexmap effect).  Chunk = partition here.
+        Vertexmap iterations are spread over all threads regardless of
+        partition ownership; non-NUMA-local chunks pay remote bandwidth
+        (the Table V vertexmap effect).  Chunk = partition here.  A record
+        with no vertices costs nothing on a NUMA-aware system, so its row
+        is not scheduled.
+        """
+        counts = np.array([rec.part_vertices for rec in records], dtype=np.float64)
+        priced = np.ones(len(records), dtype=bool)
         if self.numa_aware:
             # A chunk is NUMA-local iff the thread's socket == chunk home;
             # with equal vertex counts per chunk (VEBO) this is near 1.
-            counts = rec.part_vertices.astype(np.float64)
-            total = counts.sum()
-            if total == 0:
-                return 0.0
             # Imbalance in chunk sizes forces threads across sockets:
             # remote share grows with the deviation from the mean chunk.
-            mean = total / counts.size
-            deviation = np.abs(counts - mean).sum() / (2.0 * total)
-            remote = 0.05 + 0.9 * deviation
+            remote = np.empty((len(records), 1), dtype=np.float64)
+            for i, row in enumerate(counts):
+                total = row.sum()
+                priced[i] = total != 0
+                if priced[i]:
+                    mean = total / row.size
+                    deviation = np.abs(row - mean).sum() / (2.0 * total)
+                    remote[i] = 0.05 + 0.9 * deviation
+                else:
+                    remote[i] = 0.0
         else:
             remote = self.interleaved_remote_fraction
-        costs = self.cost_model.vertexmap_seconds(
-            rec.part_vertices.astype(np.float64), remote_fraction=remote
-        )
-        return self._schedule(costs, homes)
+        return self.cost_model.vertexmap_seconds(counts, remote_fraction=remote), priced
 
-    def _schedule(self, costs: np.ndarray, homes: np.ndarray) -> float:
+    def _makespans(self, costs: np.ndarray, homes: np.ndarray) -> np.ndarray:
+        """The makespan of each row of ``costs`` under this framework's
+        scheduler.  The schedulers are looked up as this module's globals
+        on every call: ``perfbench/layers.py`` times each framework's
+        scheduler by wrapping it here."""
         topo = self.topology
         if self.scheduler == "static":
-            return static_block_schedule(costs, topo.num_threads).makespan
+            return static_block_schedule(costs, topo.num_threads)
         if self.scheduler == "dynamic":
-            return greedy_dynamic_schedule(costs, topo.num_threads).makespan
+            return greedy_dynamic_schedule(costs, topo.num_threads)
         if self.scheduler == "cilk":
             return cilk_recursive_schedule(
                 costs, topo.num_threads, steal_overhead=self.steal_overhead
-            ).makespan
+            )
         if self.scheduler == "static-hier":
             return static_numa_schedule(
                 costs, homes, topo.num_sockets, topo.threads_per_socket
-            ).makespan
+            )
         return hierarchical_numa_schedule(
             costs, homes, topo.num_sockets, topo.threads_per_socket
-        ).makespan
+        )
 
 
 #: All personalities account work at the same 384-chunk granularity (48

@@ -30,9 +30,16 @@ Where the time goes, and what this backend does about it:
   edge/destination/source counters and the sampled stream-miss fractions)
   is a pure function of the graph layout, so it is computed once — with
   the reference's own accounting code — and replayed for every subsequent
-  dense step.  This removes the per-iteration ``argsort`` behind
+  dense step.  This removes the per-iteration line-id sort behind
   :func:`~repro.machine.locality.line_hit_fraction`, the dominant cost of
   dense iterative algorithms (PR, BP, SPMV) under the reference.
+* **Partial-step locality memo.**  A partial step's sampled stream-miss
+  measurement is memoized per layout: the key is the stream length and
+  its end elements, and a stored measurement is reused only when both
+  stored streams equal the step's streams element for element.  Steps
+  on one layout often repeat streams — algorithms that expand the same
+  frontiers from the same source, repeated executions — and each
+  distinct stream is then measured once.
 * **Layout memoization.**  Everything derived from ``(graph,
   boundaries)`` — partition maps, flat COO streams, the
   :func:`~repro.partition.stats.compute_stats` totals, segment starts,
@@ -56,7 +63,7 @@ keeping conformance unconditional.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import deque
 from functools import cached_property
 from weakref import WeakKeyDictionary
 
@@ -107,11 +114,11 @@ class _SharedLayout:
         self.full_srcs = full.unique_sources.astype(np.float64)
         #: (direction, kind, exact_sources) -> dense IterationRecord
         self.record_templates: dict[tuple, IterationRecord] = {}
-        #: FIFO memo of partial-step stream-miss measurements, keyed by the
-        #: exact sampled stream bytes (see _stream_miss_pair).
-        self.miss_memo: "OrderedDict[tuple[bytes, bytes], tuple[float, float]]" = (
-            OrderedDict()
-        )
+        #: Memo of partial-step stream-miss measurements: stream length and
+        #: end elements -> [(srcs, dsts, measurement)], with the stored
+        #: streams in FIFO order (see _stream_miss_pair).
+        self.miss_memo: dict[tuple, list[tuple[np.ndarray, np.ndarray, tuple[float, float]]]] = {}
+        self.miss_memo_order: deque[tuple] = deque()
         self.miss_memo_bytes = 0
         #: workers -> vertex split points; the parallel backend's cached
         #: chunk-band plans (repro.frameworks.parallel), guarded by ``lock``.
@@ -219,42 +226,55 @@ class VectorizedEngine(Engine):
     # Work accounting: replay cached records for full-stream dense steps
     # ------------------------------------------------------------------
 
-    #: Upper bound on the per-layout stream-miss memo (sampled stream
-    #: bytes retained as exact keys).  Sized to hold every partial step of
-    #: one full algorithm pass, so re-pricing the same algorithm under the
+    #: Upper bound on the per-layout stream-miss memo (bytes of the
+    #: sampled streams it stores).  Sized to hold every partial step of
+    #: one full algorithm pass, so re-executing the same algorithm for the
     #: next framework personality replays the measurements.
     _MISS_MEMO_BUDGET = 64 * 1024 * 1024
+    #: Elements taken from each end of each stream for the memo key.
+    _MISS_KEY_ENDS = 16
 
     def _stream_miss_pair(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple[float, float]:
         """Memoized :func:`~repro.frameworks.engine._stream_miss`.
 
         The measurement is a deterministic function of the two sampled
-        streams, and sweeps re-execute the same algorithm once per
-        framework personality over the same layout — identical steps,
-        identical streams.  Keying on the exact sampled bytes (no hashing
-        shortcuts: dict equality compares content) makes the memo
-        bit-safe; a FIFO byte budget bounds retention.
+        streams, and steps over one layout often repeat streams.  The memo
+        key is cheap (the stream length and the first and last
+        ``_MISS_KEY_ENDS`` elements of each stream), and an entry is used
+        only when both stored streams equal the queried ones element for
+        element, so streams that share a key but differ anywhere are
+        measured and stored separately.  A FIFO byte budget over the
+        stored streams bounds retention.
         """
         from repro.frameworks.engine import _MISS_SAMPLE, _stream_miss
 
         if srcs.size > _MISS_SAMPLE:
             # Identical sampling to _stream_miss, applied up front so the
-            # memo keys (and their memory cost) are bounded; re-slicing
-            # inside _stream_miss is then a no-op.
+            # stored streams (and their memory cost) are bounded;
+            # re-slicing inside _stream_miss is then a no-op.
             start = (srcs.size - _MISS_SAMPLE) // 2
             srcs = srcs[start : start + _MISS_SAMPLE]
             dsts = dsts[start : start + _MISS_SAMPLE]
-        memo = self._shared.miss_memo
-        key = (srcs.tobytes(), dsts.tobytes())
-        hit = memo.get(key)
-        if hit is None:
-            hit = _stream_miss(srcs, dsts, self.graph.num_vertices)
-            memo[key] = hit
-            self._shared.miss_memo_bytes += len(key[0]) + len(key[1])
-            while memo and self._shared.miss_memo_bytes > self._MISS_MEMO_BUDGET:
-                old_key, _ = memo.popitem(last=False)
-                self._shared.miss_memo_bytes -= len(old_key[0]) + len(old_key[1])
-        return hit
+        shared = self._shared
+        ends = self._MISS_KEY_ENDS
+        key = (srcs.size, srcs[:ends].tobytes(), srcs[-ends:].tobytes(),
+               dsts[:ends].tobytes(), dsts[-ends:].tobytes())
+        entries = shared.miss_memo.setdefault(key, [])
+        for stored_srcs, stored_dsts, measured in entries:
+            if np.array_equal(stored_srcs, srcs) and np.array_equal(stored_dsts, dsts):
+                return measured
+        measured = _stream_miss(srcs, dsts, self.graph.num_vertices)
+        entries.append((srcs.copy(), dsts.copy(), measured))
+        shared.miss_memo_order.append(key)
+        shared.miss_memo_bytes += srcs.nbytes + dsts.nbytes
+        while shared.miss_memo_bytes > self._MISS_MEMO_BUDGET:
+            oldest = shared.miss_memo_order.popleft()
+            bucket = shared.miss_memo[oldest]
+            old_srcs, old_dsts, _ = bucket.pop(0)
+            if not bucket:
+                del shared.miss_memo[oldest]
+            shared.miss_memo_bytes -= old_srcs.nbytes + old_dsts.nbytes
+        return measured
 
     def _record_edgemap(
         self,

@@ -26,7 +26,6 @@ from repro.machine.calibrate import (
     predict_seconds,
 )
 from repro.machine.schedule import (
-    ScheduleResult,
     cilk_recursive_schedule,
     greedy_dynamic_schedule,
     hierarchical_numa_schedule,
@@ -72,7 +71,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "PartitionWork",
-    "ScheduleResult",
     "cilk_recursive_schedule",
     "greedy_dynamic_schedule",
     "hierarchical_numa_schedule",

@@ -58,28 +58,33 @@ class StreamLocality:
 
 def line_hit_fraction(indices: np.ndarray, window: int = 4096) -> float:
     """Fraction of accesses whose cache line was touched in the previous
-    ``window`` accesses (a fixed-window LRU approximation).
+    ``window`` accesses (a fixed-window LRU approximation).  ``indices``
+    are non-negative element indices.
 
     Implementation: for every access record the stream position of the
-    previous access to the same line (vectorized with argsort grouping);
-    a hit is a reuse distance (in accesses, not distinct lines) below the
-    window.  This over-approximates a real LRU stack distance but ranks
-    orders identically in practice.
+    previous access to the same line; a hit is a reuse distance (in
+    accesses, not distinct lines) below the window.  This
+    over-approximates a real LRU stack distance but ranks orders
+    identically in practice.  The accesses are grouped by line with a
+    stable bucket sort (line ids are small non-negative integers: one
+    16-bit radix pass below 65,536 lines), whose permutation is itself
+    the sorted stream positions.
     """
+    from repro.ordering.base import stable_bucket_argsort
+
     if indices.size == 0:
         return 1.0
-    lines = np.asarray(indices, dtype=np.int64) // ELEMS_PER_LINE
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    pos = np.arange(lines.size, dtype=np.int64)[order]
-    same = np.empty(lines.size, dtype=bool)
+    line_ids = np.asarray(indices, dtype=np.int64) // ELEMS_PER_LINE
+    pos = stable_bucket_argsort(line_ids)
+    sorted_lines = line_ids[pos]
+    same = np.empty(line_ids.size, dtype=bool)
     same[0] = False
     same[1:] = sorted_lines[1:] == sorted_lines[:-1]
-    gap = np.empty(lines.size, dtype=np.int64)
+    gap = np.empty(line_ids.size, dtype=np.int64)
     gap[0] = np.iinfo(np.int64).max
     gap[1:] = pos[1:] - pos[:-1]
     hits = same & (gap <= window)
-    return float(np.count_nonzero(hits)) / lines.size
+    return float(np.count_nonzero(hits)) / line_ids.size
 
 
 def sequential_fraction(indices: np.ndarray) -> float:

@@ -11,23 +11,36 @@ is scheduled*:
 * **GraphGrind** statically binds partition *groups* to sockets, then
   schedules dynamically inside each socket.
 
-Given the per-task cost vector (seconds per partition or per chunk), these
+Given per-task costs (seconds per partition or per chunk), these
 simulators compute the loop completion time under each policy.  They are
-deterministic — no random victim selection — so experiment output is
-reproducible bit-for-bit.
+batched: each takes an (R x T) cost matrix — R independent loops of T
+tasks, one per row — and returns the R makespans, so pricing a trace
+schedules all of its unique steps in one call.  They are deterministic —
+no random victim selection — so experiment output is reproducible
+bit-for-bit.
+
+Every makespan is bit-identical to a one-loop-at-a-time simulation (the
+heap list schedulers the test suite keeps as its oracle):
+
+* block sums gather each block size into a C-contiguous array and reduce
+  its last axis, where numpy applies the same pairwise summation as to
+  the 1-D slice of one loop (a strided ``costs[:, lo:hi].sum(axis=1)``
+  is not guaranteed to);
+* dynamic (list) scheduling runs the rows in lockstep over the task
+  columns: each row's next task goes to the worker with the earliest
+  finish time, lowest index first (``argmin`` returns the first minimum —
+  the heap's ``(time, worker)`` order), and the cost is added there.  A
+  zero-cost task leaves every finish time unchanged, so columns that are
+  zero in every row are skipped.
 """
 
 from __future__ import annotations
-
-import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import SimulationError
 
 __all__ = [
-    "ScheduleResult",
     "static_block_schedule",
     "greedy_dynamic_schedule",
     "cilk_recursive_schedule",
@@ -36,30 +49,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
-    """Outcome of scheduling a set of tasks on ``num_workers`` workers."""
-
-    makespan: float
-    per_worker: np.ndarray  # busy time of each worker
-    policy: str
-
-    @property
-    def total_work(self) -> float:
-        return float(self.per_worker.sum())
-
-    @property
-    def imbalance_ratio(self) -> float:
-        """makespan / ideal — 1.0 means perfectly balanced."""
-        num_workers = self.per_worker.size
-        ideal = self.total_work / num_workers if num_workers else 0.0
-        return self.makespan / ideal if ideal > 0 else 1.0
-
-
 def _check(costs: np.ndarray, num_workers: int) -> np.ndarray:
     costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 1:
-        raise SimulationError("task costs must be a 1-D array")
+    if costs.ndim != 2:
+        raise SimulationError("task costs must be an (R x T) matrix, one loop per row")
     if np.any(costs < 0):
         raise SimulationError("task costs must be non-negative")
     if num_workers <= 0:
@@ -67,7 +60,31 @@ def _check(costs: np.ndarray, num_workers: int) -> np.ndarray:
     return costs
 
 
-def static_block_schedule(costs: np.ndarray, num_workers: int) -> ScheduleResult:
+def _check_homes(costs: np.ndarray, home_sockets: np.ndarray) -> np.ndarray:
+    home_sockets = np.asarray(home_sockets, dtype=np.int64)
+    if home_sockets.shape != costs.shape[1:]:
+        raise SimulationError("home_sockets must have one entry per task column")
+    return home_sockets
+
+
+def _block_sums(costs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(R x B) sums of the contiguous column blocks ``[bounds[b],
+    bounds[b + 1])``, each bit-identical to ``costs[r, lo:hi].sum()``.
+
+    Blocks of one size are gathered into a C-contiguous (R x B_s x size)
+    array and reduced over its last axis.
+    """
+    lo = bounds[:-1]
+    sizes = np.diff(bounds)
+    out = np.empty((costs.shape[0], sizes.size), dtype=np.float64)
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        cols = lo[which, None] + np.arange(size)
+        out[:, which] = np.ascontiguousarray(costs[:, cols]).sum(axis=-1)
+    return out
+
+
+def static_block_schedule(costs: np.ndarray, num_workers: int) -> np.ndarray:
     """Contiguous block assignment: worker w gets tasks [w*T/W, (w+1)*T/W).
 
     This is OpenMP ``schedule(static)`` / Polymer's partition binding: the
@@ -75,22 +92,14 @@ def static_block_schedule(costs: np.ndarray, num_workers: int) -> ScheduleResult
     the cost vector translates 1:1 into lost time.
     """
     costs = _check(costs, num_workers)
-    per_worker = np.zeros(num_workers, dtype=np.float64)
-    n = costs.size
-    base, extra = divmod(n, num_workers)
-    lo = 0
-    for w in range(num_workers):
-        hi = lo + base + (1 if w < extra else 0)
-        per_worker[w] = costs[lo:hi].sum()
-        lo = hi
-    return ScheduleResult(
-        makespan=float(per_worker.max(initial=0.0)),
-        per_worker=per_worker,
-        policy="static",
-    )
+    base, extra = divmod(costs.shape[1], num_workers)
+    sizes = np.full(num_workers, base, dtype=np.int64)
+    sizes[:extra] += 1
+    per_worker = _block_sums(costs, np.concatenate(([0], np.cumsum(sizes))))
+    return per_worker.max(axis=1, initial=0.0)
 
 
-def greedy_dynamic_schedule(costs: np.ndarray, num_workers: int) -> ScheduleResult:
+def greedy_dynamic_schedule(costs: np.ndarray, num_workers: int) -> np.ndarray:
     """List scheduling: each finishing worker grabs the next task in order.
 
     Models a dynamic work queue (OpenMP ``schedule(dynamic,1)``); Graham's
@@ -98,28 +107,13 @@ def greedy_dynamic_schedule(costs: np.ndarray, num_workers: int) -> ScheduleResu
     absorb most imbalance — the reason Ligra benefits less from VEBO.
     """
     costs = _check(costs, num_workers)
-    if costs.size and not costs.all():
-        # Zero-cost tasks are exact no-ops: the popped (time, worker) key
-        # is pushed back unchanged — keys are unique tuples, so the heap
-        # *set* (hence every later pop) and the accumulators are
-        # bit-identical with the zeros dropped.  Sparse edgemap records
-        # leave most of the 384 chunks empty, so this turns an O(P log W)
-        # Python loop into O(active log W).
-        costs = costs[costs != 0.0]
-    finish = [(0.0, w) for w in range(num_workers)]
-    heapq.heapify(finish)
-    acc = [0.0] * num_workers
-    # Plain-Python floats throughout the hot loop: element-wise numpy
-    # scalar indexing costs ~10x a list append, and tolist() round-trips
-    # float64 exactly, so the heap arithmetic is bit-identical.
-    for c in costs.tolist():
-        t, w = heapq.heappop(finish)
-        t += c
-        acc[w] += c
-        heapq.heappush(finish, (t, w))
-    per_worker = np.array(acc, dtype=np.float64)
-    makespan = max(t for t, _ in finish) if num_workers else 0.0
-    return ScheduleResult(makespan=makespan, per_worker=per_worker, policy="dynamic")
+    rows = costs.shape[0]
+    finish = np.zeros((rows, num_workers), dtype=np.float64)
+    flat = finish.reshape(-1)
+    row_start = np.arange(rows, dtype=np.int64) * num_workers
+    for column in costs.T[costs.any(axis=0)]:
+        flat[row_start + finish.argmin(axis=1)] += column
+    return finish.max(axis=1, initial=0.0)
 
 
 def cilk_recursive_schedule(
@@ -127,7 +121,7 @@ def cilk_recursive_schedule(
     num_workers: int,
     grain: int = 1,
     steal_overhead: float = 0.0,
-) -> ScheduleResult:
+) -> np.ndarray:
     """Cilk-style recursive range splitting with randomized-steal semantics
     approximated by greedy placement of the split leaves.
 
@@ -141,38 +135,30 @@ def cilk_recursive_schedule(
     ``steal_overhead`` seconds are charged per leaf beyond the first.
     """
     costs = _check(costs, num_workers)
-    n = costs.size
+    n = costs.shape[1]
     if n == 0:
-        return ScheduleResult(0.0, np.zeros(num_workers), "cilk")
+        return np.zeros(costs.shape[0], dtype=np.float64)
     auto_grain = max(int(grain), (n + 8 * num_workers - 1) // (8 * num_workers))
     if auto_grain == 1:
         # Halving a range down to grain 1 yields exactly the singleton
         # leaves [i, i+1) in order — the common 384-chunk / 48-thread
-        # configuration — so skip the recursion and the per-leaf Python
-        # sums.  ``cost + steal_overhead`` is the same single float64
-        # addition the generic path performs per leaf.
+        # configuration.
         leaf_costs = costs.copy()
-        leaf_costs[1:] += steal_overhead
     else:
         # Build leaf ranges by iterative halving.
-        leaves: list[tuple[int, int]] = []
+        starts: list[int] = []
         stack = [(0, n)]
         while stack:
             lo, hi = stack.pop()
             if hi - lo <= auto_grain:
-                leaves.append((lo, hi))
+                starts.append(lo)
             else:
                 mid = (lo + hi) // 2
                 stack.append((mid, hi))
                 stack.append((lo, mid))
-        leaves.sort()
-        leaf_costs = np.array(
-            [costs[lo:hi].sum() + (steal_overhead if i else 0.0) for i, (lo, hi) in enumerate(leaves)]
-        )
-    inner = greedy_dynamic_schedule(leaf_costs, num_workers)
-    return ScheduleResult(
-        makespan=inner.makespan, per_worker=inner.per_worker, policy="cilk"
-    )
+        leaf_costs = _block_sums(costs, np.array(sorted(starts) + [n], dtype=np.int64))
+    leaf_costs[:, 1:] += steal_overhead
+    return greedy_dynamic_schedule(leaf_costs, num_workers)
 
 
 def static_numa_schedule(
@@ -180,7 +166,7 @@ def static_numa_schedule(
     home_sockets: np.ndarray,
     num_sockets: int,
     threads_per_socket: int,
-) -> ScheduleResult:
+) -> np.ndarray:
     """Polymer's policy: static at both levels.
 
     Each task (chunk) is pinned to its home socket; inside a socket the
@@ -190,17 +176,12 @@ def static_numa_schedule(
     sensitive to vertex ordering.
     """
     costs = _check(costs, num_sockets * threads_per_socket)
-    home_sockets = np.asarray(home_sockets, dtype=np.int64)
-    if home_sockets.shape != costs.shape:
-        raise SimulationError("home_sockets must match the cost vector")
-    per_worker = np.zeros(num_sockets * threads_per_socket, dtype=np.float64)
-    makespan = 0.0
+    home_sockets = _check_homes(costs, home_sockets)
+    makespan = np.zeros(costs.shape[0], dtype=np.float64)
     for s in range(num_sockets):
-        mine = costs[home_sockets == s]
-        inner = static_block_schedule(mine, threads_per_socket)
-        per_worker[s * threads_per_socket : (s + 1) * threads_per_socket] = inner.per_worker
-        makespan = max(makespan, inner.makespan)
-    return ScheduleResult(makespan=makespan, per_worker=per_worker, policy="static-hier")
+        mine = costs[:, home_sockets == s]
+        makespan = np.maximum(makespan, static_block_schedule(mine, threads_per_socket))
+    return makespan
 
 
 def hierarchical_numa_schedule(
@@ -208,22 +189,26 @@ def hierarchical_numa_schedule(
     home_sockets: np.ndarray,
     num_sockets: int,
     threads_per_socket: int,
-) -> ScheduleResult:
+) -> np.ndarray:
     """GraphGrind's policy: static across sockets, dynamic within.
 
     Each task (partition) is pinned to its home socket; inside a socket the
     partitions are dynamically distributed over the socket's threads.  The
     loop completes when the slowest socket does.
+
+    Every (row, socket) pair is one row of a single lockstep; a socket
+    with fewer tasks than the busiest one is padded with zero-cost tasks,
+    which are no-ops.
     """
     costs = _check(costs, num_sockets * threads_per_socket)
-    home_sockets = np.asarray(home_sockets, dtype=np.int64)
-    if home_sockets.shape != costs.shape:
-        raise SimulationError("home_sockets must match the cost vector")
-    per_worker = np.zeros(num_sockets * threads_per_socket, dtype=np.float64)
-    makespan = 0.0
-    for s in range(num_sockets):
-        mine = costs[home_sockets == s]
-        inner = greedy_dynamic_schedule(mine, threads_per_socket)
-        per_worker[s * threads_per_socket : (s + 1) * threads_per_socket] = inner.per_worker
-        makespan = max(makespan, inner.makespan)
-    return ScheduleResult(makespan=makespan, per_worker=per_worker, policy="numa-hier")
+    home_sockets = _check_homes(costs, home_sockets)
+    rows = costs.shape[0]
+    per_socket = [costs[:, home_sockets == s] for s in range(num_sockets)]
+    width = max(block.shape[1] for block in per_socket)
+    stacked = np.zeros((num_sockets, rows, width), dtype=np.float64)
+    for s, block in enumerate(per_socket):
+        stacked[s, :, : block.shape[1]] = block
+    makespans = greedy_dynamic_schedule(
+        stacked.reshape(num_sockets * rows, width), threads_per_socket
+    )
+    return makespans.reshape(num_sockets, rows).max(axis=0, initial=0.0)

@@ -129,10 +129,11 @@ def load_graph(
         if resolved is None:
             return spec.build(**params)
         key = artifact_key("graph", spec.cache_payload(**params))
-        arrays, _hit = resolved.get_or_build(
-            "graph", key, lambda: ser.pack_graph(spec.build(**params)), refresh=refresh
+        graph, _hit = resolved.get_or_build(
+            "graph", key, lambda: ser.pack_graph(spec.build(**params)),
+            refresh=refresh, unpack=ser.unpack_graph,
         )
-        return ser.unpack_graph(arrays)
+        return graph
 
 
 def _graph_key_payload(graph: Graph) -> dict:
@@ -159,13 +160,14 @@ def cached_ordering(
             return get_ordering(algorithm)(graph, **kwargs)
         payload = {**_graph_key_payload(graph), "algorithm": algorithm, "kwargs": kwargs}
         key = artifact_key("ordering", payload)
-        arrays, _hit = resolved.get_or_build(
+        result, _hit = resolved.get_or_build(
             "ordering",
             key,
             lambda: ser.pack_ordering(get_ordering(algorithm)(graph, **kwargs)),
             refresh=refresh,
+            unpack=ser.unpack_ordering,
         )
-        return ser.unpack_ordering(arrays)
+        return result
 
 
 def cached_partition(
@@ -210,10 +212,11 @@ def cached_partition(
         "kwargs": ordering_kwargs,
     }
     key = artifact_key("partition", payload)
-    arrays, _hit = resolved.get_or_build(
-        "partition", key, lambda: ser.pack_partition(build()), refresh=refresh
+    pg, _hit = resolved.get_or_build(
+        "partition", key, lambda: ser.pack_partition(build()),
+        refresh=refresh, unpack=ser.unpack_partition,
     )
-    return ser.unpack_partition(arrays)
+    return pg
 
 
 def cached_edge_order(
@@ -232,10 +235,11 @@ def cached_edge_order(
         return order_edges(graph, order, **kwargs)
     payload = {**_graph_key_payload(graph), "order": order, "kwargs": kwargs}
     key = artifact_key("edgeorder", payload)
-    arrays, _hit = resolved.get_or_build(
+    result, _hit = resolved.get_or_build(
         "edgeorder",
         key,
         lambda: ser.pack_edge_order(order_edges(graph, order, **kwargs)),
         refresh=refresh,
+        unpack=ser.unpack_edge_order,
     )
-    return ser.unpack_edge_order(arrays)
+    return result

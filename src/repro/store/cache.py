@@ -217,15 +217,19 @@ class ArtifactCache:
         return (self.path_for(kind, key) / MANIFEST_NAME).is_file()
 
     # ------------------------------------------------------------------
-    def load(self, kind: str, key: str) -> dict[str, np.ndarray] | None:
-        """Return the bundle's arrays, or ``None`` on a cache miss.
+    def load(self, kind: str, key: str, unpack: Callable[[dict], object] | None = None):
+        """Return the bundle's arrays — or ``unpack(arrays)`` when
+        ``unpack`` is given — or ``None`` on a cache miss.
 
         Every returned array is read-only; with ``REPRO_MMAP`` set, they
         are memory-mapped views of the on-disk bytes.
 
         A bundle that exists but cannot be parsed (truncated write from a
-        crashed process, foreign file at the right path) is treated as a
-        miss and removed, so a corrupt entry can never wedge the cache.
+        crashed process, foreign file at the right path), or whose arrays
+        ``unpack`` rejects with :class:`CacheError` (a corrupt member, an
+        older layout), is treated as a miss and removed, so a corrupt
+        entry can never wedge the cache: :meth:`store` keeps any incumbent
+        bundle, so one left in place would miss on every later load.
         """
         path = self.path_for(kind, key)
         if not path.is_dir():
@@ -267,12 +271,13 @@ class ArtifactCache:
                 if not isinstance(arr, np.ndarray):
                     raise ValueError(f"member {fname} is not a plain .npy array")
                 arrays[str(name)] = _readonly(arr)
-        except (OSError, ValueError, KeyError):
+            value = arrays if unpack is None else unpack(arrays)
+        except (OSError, ValueError, KeyError, CacheError):
             shutil.rmtree(path, ignore_errors=True)
             self._note_get(kind, key, hit=False)
             return None
         self._note_get(kind, key, hit=True, mmapped=mapped > 0)
-        return arrays
+        return value
 
     @staticmethod
     def _note_get(kind: str, key: str, hit: bool, mmapped: bool = False) -> None:
@@ -342,15 +347,18 @@ class ArtifactCache:
         key: str,
         build: Callable[[], dict[str, np.ndarray]],
         refresh: bool = False,
-    ) -> tuple[dict[str, np.ndarray], bool]:
-        """Return ``(arrays, hit)``; on a miss run ``build`` and persist."""
+        unpack: Callable[[dict], object] | None = None,
+    ) -> tuple[object, bool]:
+        """Return ``(arrays, hit)`` — ``(unpack(arrays), hit)`` when
+        ``unpack`` is given; on a miss (or a bundle ``unpack`` rejects,
+        see :meth:`load`) run ``build`` and persist."""
         if not refresh:
-            cached = self.load(kind, key)
+            cached = self.load(kind, key, unpack=unpack)
             if cached is not None:
                 return cached, True
         arrays = build()
         self.store(kind, key, arrays)
-        return arrays, False
+        return (arrays if unpack is None else unpack(arrays)), False
 
     # ------------------------------------------------------------------
     @staticmethod

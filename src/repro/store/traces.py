@@ -29,17 +29,36 @@ trace.
 Bundle layout
 -------------
 One bundle directory per trace (format v2, like every artifact kind of
-:mod:`repro.store.cache`).  Repeated records (e.g. the identical
-dense steps of an iterative algorithm) are stored **once**: the bundle
-holds a table of unique records (deduplicated by
-:func:`~repro.frameworks.trace.record_fingerprint`, i.e. bitwise) plus a
-step -> record index, and unpacking re-shares the objects — so a replayed
-trace prices as fast as a live vectorized trace (pricing memoizes on
-record identity).  Scalars are stored bit-exactly: the ``-1.0``
-"not measured" miss sentinels, NaNs and signed zeros all survive, and
-:class:`~repro.frameworks.frontier.DensityClass` members travel as the
-stable small-int codes of
-:data:`~repro.frameworks.trace.DENSITY_CODES`.
+:mod:`repro.store.cache`): a manifest plus five members.  Repeated
+records (e.g. the identical dense steps of an iterative algorithm) are
+stored **once**: the bundle holds a table of the R unique records
+(deduplicated by :func:`~repro.frameworks.trace.record_fingerprint`,
+i.e. bitwise) plus a step -> record index.
+
+=================  ===================  ==================================
+member             dtype, shape         holds
+=================  ===================  ==================================
+``record_index``   int64 [S]            the unique record of each step
+``ints``           int64 [R, 5]         kind, direction and density codes,
+                                        ``active_vertices``,
+                                        ``active_edges``
+``miss``           float64 [R, 2]       ``src_miss``, ``dst_miss``
+``parts``          int64 [4, R, P]      ``part_edges``, ``part_dsts``,
+                                        ``part_srcs``, ``part_vertices``
+``meta_json``      str                  algorithm, graph name, P,
+                                        iterations, labels
+=================  ===================  ==================================
+
+Unpacking re-shares one object per unique record, so pricing a replayed
+trace builds its cost matrix from R records, exactly as for a live
+vectorized trace.  Scalars are stored bit-exactly: the ``-1.0`` "not
+measured" miss sentinels, NaNs and signed zeros all survive.  Kinds,
+directions and :class:`~repro.frameworks.frontier.DensityClass` members
+travel as stable small-int codes (:data:`KIND_CODES`,
+:data:`DIRECTION_CODES`, :data:`~repro.frameworks.trace.DENSITY_CODES`);
+an unknown code, a member of the wrong shape, or a bundle in any other
+layout fails to unpack, and :func:`load_trace` then evicts it and reports
+a miss, so the next execution stores a fresh bundle in its place.
 """
 
 from __future__ import annotations
@@ -117,9 +136,31 @@ class StoredTrace:
     labels: dict               # informational only (ordering, dataset, ...)
 
 
-_SCALAR_FIELDS = ("active_vertices", "active_edges")
-_FLOAT_FIELDS = ("src_miss", "dst_miss")
+#: Stable small-int codes of the record kinds and directions, stored in
+#: the ``ints`` member (append-only, like
+#: :data:`~repro.frameworks.trace.DENSITY_CODES`).
+KIND_CODES = {"edgemap": 0, "vertexmap": 1}
+DIRECTION_CODES = {"push": 0, "pull": 1, "-": 2}
+_KIND_FROM_CODE = {v: k for k, v in KIND_CODES.items()}
+_DIRECTION_FROM_CODE = {v: k for k, v in DIRECTION_CODES.items()}
+#: Per-partition counters, in the order of the ``parts`` member's first axis.
 _PART_FIELDS = ("part_edges", "part_dsts", "part_srcs", "part_vertices")
+
+
+def _code(codes: dict, value, what: str, i: int) -> int:
+    code = codes.get(value)
+    if code is None:
+        raise CacheError(f"record {i}: {what} {value!r} has no trace code")
+    return code
+
+
+def _decode(values: dict, code: int, what: str):
+    """The value a stored code stands for; negative or unknown codes are a
+    corrupt bundle (Python indexing would silently alias a negative one)."""
+    value = values.get(code)
+    if value is None:
+        raise CacheError(f"unknown {what} code {code}")
+    return value
 
 
 def pack_trace(
@@ -128,8 +169,9 @@ def pack_trace(
     """Encode a trace (plus replay metadata) as a flat array bundle.
 
     Per-partition arrays must be ``int64[P]`` with ``P ==
-    trace.num_partitions`` — the engines' invariant; anything else cannot
-    be stacked losslessly and raises :class:`CacheError`.
+    trace.num_partitions`` — the engines' invariant — and kinds and
+    directions must have a code; anything else cannot be stored
+    losslessly and raises :class:`CacheError`.
     """
     p = int(trace.num_partitions)
     unique: list[IterationRecord] = []
@@ -155,36 +197,27 @@ def pack_trace(
             unique.append(rec)
         index[i] = at
     r = len(unique)
-    arrays: dict[str, np.ndarray] = {
-        "record_index": index,
-        "kind": np.array([rec.kind for rec in unique]),
-        "direction": np.array([rec.direction for rec in unique]),
-        "density": np.array(
-            [DENSITY_CODES[rec.density] for rec in unique], dtype=np.int8
-        ),
-    }
-    for name in _SCALAR_FIELDS:
-        arrays[name] = np.array(
-            [int(getattr(rec, name)) for rec in unique], dtype=np.int64
+    ints = np.empty((r, 5), dtype=np.int64)
+    miss = np.empty((r, 2), dtype=np.float64)
+    parts = np.empty((len(_PART_FIELDS), r, p), dtype=np.int64)
+    for i, rec in enumerate(unique):
+        ints[i] = (
+            _code(KIND_CODES, rec.kind, "kind", i),
+            _code(DIRECTION_CODES, rec.direction, "direction", i),
+            _code(DENSITY_CODES, rec.density, "density", i),
+            int(rec.active_vertices),
+            int(rec.active_edges),
         )
-    for name in _FLOAT_FIELDS:
-        arrays[name] = np.array(
-            [getattr(rec, name) for rec in unique], dtype=np.float64
-        )
-    for name in _PART_FIELDS:
-        stacked = (
-            np.stack([getattr(rec, name) for rec in unique])
-            if r
-            else np.empty((0, p), dtype=np.int64)
-        )
-        arrays[name] = stacked
+        miss[i] = rec.src_miss, rec.dst_miss
+        for k, name in enumerate(_PART_FIELDS):
+            parts[k, i] = getattr(rec, name)
     # ``trace.meta`` (the measurement side channel, e.g. the parallel
     # backend's per-chunk wall-clock) is deliberately NOT serialized: a
     # replayed trace must be bit-identical to a fresh one, and wall-clock
     # never is.  Durable measurements flow through the measurement store
     # (:mod:`repro.store.measurements`), which the runner writes at
     # record time — before the meta channel is lost to this round trip.
-    arrays["meta_json"] = np.array(
+    meta_json = np.array(
         json.dumps(
             {
                 "kind": "trace",
@@ -197,43 +230,46 @@ def pack_trace(
             sort_keys=True,
         )
     )
-    return arrays
+    return {"record_index": index, "ints": ints, "miss": miss, "parts": parts,
+            "meta_json": meta_json}
 
 
 def unpack_trace(arrays: dict) -> StoredTrace:
     """Invert :func:`pack_trace`, re-sharing deduplicated records.
 
-    Any malformation — a missing array, unparsable meta, an unknown
-    density code, an out-of-range record index — raises
-    :class:`CacheError`, which :func:`load_trace` treats as a miss.
+    Any malformation — a missing array, unparsable meta, a member of the
+    wrong shape, an unknown kind, direction or density code, an
+    out-of-range record index — raises :class:`CacheError`, which
+    :func:`load_trace` treats as a miss.
     """
     try:
         meta = json.loads(str(arrays["meta_json"]))
         index = np.asarray(arrays["record_index"])
-        kind = arrays["kind"]
-        direction = arrays["direction"]
-        density = arrays["density"]
-        scalars = {name: arrays[name] for name in _SCALAR_FIELDS + _FLOAT_FIELDS}
-        parts = {name: arrays[name] for name in _PART_FIELDS}
+        ints = arrays["ints"]
+        miss = arrays["miss"]
+        parts = arrays["parts"]
         p = int(meta["num_partitions"])
+        r = int(ints.shape[0])
+        if (ints.shape != (r, 5) or miss.shape != (r, 2) or index.ndim != 1
+                or parts.shape != (len(_PART_FIELDS), r, p)
+                or (ints.dtype, miss.dtype, parts.dtype)
+                != (np.int64, np.float64, np.int64)):
+            raise CacheError("trace bundle members have the wrong shape or dtype")
         unique: list[IterationRecord] = []
-        for i in range(int(kind.shape[0])):
-            code = int(density[i])
-            if code not in DENSITY_FROM_CODE:
-                raise CacheError(f"unknown density code {code}")
+        for i, (kind, direction, density, active_vertices, active_edges) in enumerate(
+            ints.tolist()
+        ):
             unique.append(
                 IterationRecord(
-                    kind=str(kind[i]),
-                    direction=str(direction[i]),
-                    density=DENSITY_FROM_CODE[code],
-                    active_vertices=int(scalars["active_vertices"][i]),
-                    active_edges=int(scalars["active_edges"][i]),
-                    part_edges=np.ascontiguousarray(parts["part_edges"][i]),
-                    part_dsts=np.ascontiguousarray(parts["part_dsts"][i]),
-                    part_srcs=np.ascontiguousarray(parts["part_srcs"][i]),
-                    part_vertices=np.ascontiguousarray(parts["part_vertices"][i]),
-                    src_miss=float(scalars["src_miss"][i]),
-                    dst_miss=float(scalars["dst_miss"][i]),
+                    kind=_decode(_KIND_FROM_CODE, kind, "kind"),
+                    direction=_decode(_DIRECTION_FROM_CODE, direction, "direction"),
+                    density=_decode(DENSITY_FROM_CODE, density, "density"),
+                    active_vertices=active_vertices,
+                    active_edges=active_edges,
+                    **{name: np.ascontiguousarray(parts[k, i])
+                       for k, name in enumerate(_PART_FIELDS)},
+                    src_miss=float(miss[i, 0]),
+                    dst_miss=float(miss[i, 1]),
                 )
             )
         if index.size and (
@@ -283,20 +319,14 @@ def save_trace(
 
 def load_trace(key: str, *, cache=None) -> StoredTrace | None:
     """Replay the trace stored under ``key``, or ``None`` on a miss (cache
-    disabled, bundle absent, or bundle unreadable)."""
+    disabled, bundle absent, or bundle unreadable).  An unreadable bundle
+    is removed (:meth:`~repro.store.cache.ArtifactCache.load`), so the
+    next execution stores a fresh one instead of keeping it."""
     from repro.store.cache import resolve_cache
 
     resolved = resolve_cache(cache)
     if resolved is None:
         return None
-    arrays = resolved.load("trace", key)
-    if arrays is None:
-        obs.event("trace.load", cat="store", key=key, hit=False)
-        return None
-    try:
-        stored = unpack_trace(arrays)
-    except CacheError:
-        obs.event("trace.load", cat="store", key=key, hit=False)
-        return None
-    obs.event("trace.load", cat="store", key=key, hit=True)
+    stored = resolved.load("trace", key, unpack=unpack_trace)
+    obs.event("trace.load", cat="store", key=key, hit=stored is not None)
     return stored

@@ -150,3 +150,55 @@ class TestReduceDtypeContract:
         in_degs = graph.in_degrees()[captured["touched"]]
         expected = in_degs.astype(np.float64) * np.float64(np.float32(2**-30))
         assert np.array_equal(captured["reduced"], expected)
+
+
+class TestStreamMissMemo:
+    """The vectorized engine's per-layout memo of sampled stream-miss
+    measurements (``VectorizedEngine._stream_miss_pair``)."""
+
+    @staticmethod
+    def _engine():
+        # A graph of its own: the memo lives on the per-graph shared layout.
+        g = gen.zipf_powerlaw_graph(4000, s=1.2, max_degree=40, seed=7, name="memo")
+        return VectorizedEngine(g, chunk_boundaries(g.in_degrees(), 8),
+                                WorkTrace("t", g.name, 8))
+
+    @staticmethod
+    def _streams():
+        """Two streams of one length whose first and last 16 elements agree
+        and whose middles differ."""
+        rng = np.random.default_rng(0)
+        ends = np.arange(16, dtype=np.int64)
+        middle = np.arange(2000, dtype=np.int64) % 500
+        a = np.concatenate([ends, middle, ends])
+        b = np.concatenate([ends, rng.integers(0, 4000, 2000), ends])
+        return a, b
+
+    def test_equal_ends_different_middles_measured_separately(self):
+        from repro.frameworks.engine import _stream_miss
+
+        engine = self._engine()
+        a, b = self._streams()
+        n = engine.graph.num_vertices
+        first = engine._stream_miss_pair(a, a[::-1].copy())
+        second = engine._stream_miss_pair(b, b[::-1].copy())
+        assert first == _stream_miss(a, a[::-1], n)
+        assert second == _stream_miss(b, b[::-1], n)
+        assert first != second
+        # Both are stored under the one shared key and replay exactly.
+        assert [len(v) for v in engine._shared.miss_memo.values()] == [2]
+        assert engine._stream_miss_pair(a.copy(), a[::-1].copy()) == first
+        assert engine._stream_miss_pair(b.copy(), b[::-1].copy()) == second
+        assert engine._shared.miss_memo_bytes == 2 * (a.nbytes + b.nbytes)
+
+    def test_fifo_budget_evicts_oldest_stream(self, monkeypatch):
+        engine = self._engine()
+        a, b = self._streams()
+        monkeypatch.setattr(VectorizedEngine, "_MISS_MEMO_BUDGET", 2 * a.nbytes)
+        engine._stream_miss_pair(a, a)
+        engine._stream_miss_pair(b, b)
+        shared = engine._shared
+        assert shared.miss_memo_bytes == 2 * b.nbytes
+        [(stored, _, _)] = [entry for v in shared.miss_memo.values() for entry in v]
+        assert np.array_equal(stored, b) and list(shared.miss_memo_order) == [
+            next(iter(shared.miss_memo))]

@@ -128,6 +128,20 @@ class TestLocality:
         stream = np.zeros(1000, dtype=np.int64)
         assert line_hit_fraction(stream, window=16) > 0.99
 
+    @pytest.mark.parametrize("high", [50, 40_000, 3_000_000])
+    def test_bucket_grouping_matches_comparison_sort(self, high):
+        """The bucket-sort grouping counts exactly the hits a stable
+        comparison argsort over the line ids finds (one and two radix
+        passes)."""
+        rng = np.random.default_rng(high)
+        stream = rng.integers(0, high, 30_000)
+        lines = stream // 8
+        order = np.argsort(lines, kind="stable")
+        same = np.r_[False, lines[order][1:] == lines[order][:-1]]
+        gap = np.r_[np.iinfo(np.int64).max, np.diff(order)]
+        want = float(np.count_nonzero(same & (gap <= 256))) / stream.size
+        assert line_hit_fraction(stream, window=256) == want
+
     def test_empty_stream(self):
         loc = measure_stream(np.array([], dtype=np.int64))
         assert loc.line_hit_fraction == 1.0

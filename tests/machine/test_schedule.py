@@ -1,10 +1,20 @@
-"""Unit tests for the scheduling simulators."""
+"""Unit tests for the scheduling simulators.
+
+The policy checks (imbalance, Graham's bound, contiguity, steal overhead)
+run against the one-loop heap schedulers of ``oracles``; the batched
+schedulers of :mod:`repro.machine.schedule` must return the oracle's
+makespans bit for bit, row by row.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import SimulationError
-from repro.machine.schedule import (
+from repro.machine import schedule as batched
+from oracles import (
     cilk_recursive_schedule,
     greedy_dynamic_schedule,
     hierarchical_numa_schedule,
@@ -139,3 +149,112 @@ class TestPolicyComparison:
             s = static_block_schedule(costs, w).makespan
             d = greedy_dynamic_schedule(costs, w).makespan
             assert d <= (2 - 1 / w) * s + 1e-12
+
+
+# ----------------------------------------------------------------------
+# Batched schedulers vs the oracle, row by row, bit for bit
+# ----------------------------------------------------------------------
+
+@st.composite
+def cost_matrices(draw):
+    """(R x T) costs with exact ties, all-zero columns and rows, and
+    magnitudes spanning the cost model's range."""
+    rows = draw(st.integers(min_value=0, max_value=5))
+    tasks = draw(st.integers(min_value=0, max_value=130))
+    values = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 0.5, 3e-7]),
+        st.floats(min_value=0.0, max_value=1e-3, allow_nan=False, allow_infinity=False),
+    )
+    costs = draw(hnp.arrays(np.float64, (rows, tasks), elements=values))
+    if tasks:
+        zero_cols = draw(st.lists(st.integers(0, tasks - 1), max_size=tasks // 2))
+        costs[:, zero_cols] = 0.0
+    return costs
+
+
+def _rows(oracle, costs, *args, **kwargs) -> np.ndarray:
+    return np.array([oracle(row, *args, **kwargs).makespan for row in costs],
+                    dtype=np.float64).reshape(costs.shape[0])
+
+
+@given(cost_matrices(), st.integers(min_value=1, max_value=20))
+@settings(max_examples=150, deadline=None)
+def test_batched_flat_schedules_equal_oracle(costs, workers):
+    for fn, oracle in ((batched.static_block_schedule, static_block_schedule),
+                       (batched.greedy_dynamic_schedule, greedy_dynamic_schedule)):
+        got = fn(costs, workers)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _rows(oracle, costs, workers)), fn.__name__
+
+
+@given(cost_matrices(), st.integers(min_value=1, max_value=20),
+       st.integers(min_value=1, max_value=9),
+       st.sampled_from([0.0, 2.0e-7, 0.5]))
+@settings(max_examples=150, deadline=None)
+def test_batched_cilk_equals_oracle(costs, workers, grain, overhead):
+    got = batched.cilk_recursive_schedule(costs, workers, grain=grain,
+                                          steal_overhead=overhead)
+    want = _rows(cilk_recursive_schedule, costs, workers, grain=grain,
+                 steal_overhead=overhead)
+    assert np.array_equal(got, want)
+
+
+@given(cost_matrices(), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_batched_numa_schedules_equal_oracle(costs, sockets, threads, block_homes):
+    tasks = costs.shape[1]
+    if block_homes:
+        homes = (np.arange(tasks) * sockets) // max(tasks, 1)
+    else:
+        homes = np.arange(tasks) % sockets
+    for fn, oracle in ((batched.static_numa_schedule, static_numa_schedule),
+                       (batched.hierarchical_numa_schedule, hierarchical_numa_schedule)):
+        got = fn(costs, homes, sockets, threads)
+        assert np.array_equal(got, _rows(oracle, costs, homes, sockets, threads)), fn.__name__
+
+
+@pytest.mark.parametrize("workers,grain", [(48, 1), (8, 1), (128, 1), (7, 1), (4, 6)])
+def test_batched_paper_shapes_equal_oracle(workers, grain):
+    """384 accounting chunks on the machines' thread counts: laptop's
+    6-task Cilk leaves and 48-task static blocks, big-numa's 128 threads,
+    and a thread count that does not divide the chunks."""
+    rng = np.random.default_rng(workers)
+    costs = rng.pareto(1.5, size=(6, 384)) * 1e-4
+    costs[:, rng.random(384) < 0.25] = 0.0
+    costs[2] = 0.0
+    costs[3] = costs[4]
+    assert np.array_equal(batched.static_block_schedule(costs, workers),
+                          _rows(static_block_schedule, costs, workers))
+    assert np.array_equal(batched.greedy_dynamic_schedule(costs, workers),
+                          _rows(greedy_dynamic_schedule, costs, workers))
+    assert np.array_equal(
+        batched.cilk_recursive_schedule(costs, workers, grain=grain, steal_overhead=2e-7),
+        _rows(cilk_recursive_schedule, costs, workers, grain=grain, steal_overhead=2e-7))
+
+
+class TestBatchedErrors:
+    def test_negative_costs_rejected(self):
+        with pytest.raises(SimulationError):
+            batched.greedy_dynamic_schedule(np.array([[1.0, -1.0]]), 2)
+
+    def test_non_positive_workers_rejected(self):
+        for workers in (0, -1):
+            with pytest.raises(SimulationError):
+                batched.static_block_schedule(np.ones((1, 4)), workers)
+
+    def test_one_dimensional_costs_rejected(self):
+        with pytest.raises(SimulationError):
+            batched.cilk_recursive_schedule(np.ones(4), 2)
+
+    def test_mismatched_homes_rejected(self):
+        for fn in (batched.static_numa_schedule, batched.hierarchical_numa_schedule):
+            with pytest.raises(SimulationError):
+                fn(np.ones((2, 4)), np.zeros(3, dtype=np.int64), 2, 2)
+
+    def test_empty_inputs(self):
+        for costs in (np.zeros((0, 5)), np.zeros((3, 0))):
+            rows = costs.shape[0]
+            assert np.array_equal(batched.greedy_dynamic_schedule(costs, 4), np.zeros(rows))
+            assert np.array_equal(batched.cilk_recursive_schedule(costs, 4), np.zeros(rows))
+            assert np.array_equal(batched.static_block_schedule(costs, 4), np.zeros(rows))

@@ -1,23 +1,24 @@
 """Property-based tests for graph structures, Hilbert curve, partitioning
-and schedulers."""
+and schedulers (the scheduling policies through the one-loop oracles,
+which ``tests/machine/test_schedule.py`` ties to the batched ones)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.edgeorder.hilbert import hilbert_d2xy, hilbert_index
 from repro.graph.csr import CSRMatrix, Graph
-from repro.machine.schedule import (
-    cilk_recursive_schedule,
-    greedy_dynamic_schedule,
-    static_block_schedule,
-)
 from repro.ordering.base import stable_bucket_argsort
 from repro.ordering.streaming import assignment_to_order
 from repro.ordering.vebo import counting_sort_by_degree
 from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
 
-from oracles import chunk_boundaries_reference
+from oracles import (
+    chunk_boundaries_reference,
+    cilk_recursive_schedule,
+    greedy_dynamic_schedule,
+    static_block_schedule,
+)
 
 #: Degree arrays that stress every boundary the exact-arithmetic scan and
 #: the bucket sort care about: zeros, ties, hubs, and values spanning one,

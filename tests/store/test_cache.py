@@ -159,6 +159,39 @@ class TestCacheBehaviour:
         assert cache.load("graph", "b" * 40) is None
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind,member", [
+        ("graph", "adj"), ("ordering", "perm"), ("partition", "boundaries"),
+        ("edgeorder", "src")])
+    def test_bundle_unpack_rejects_is_rebuilt_then_hit(self, cache, small_social,
+                                                       kind, member):
+        """A bundle whose manifest parses but whose arrays the kind's
+        unpacker rejects is removed and rebuilt once; the next load is a
+        hit on the rebuilt bundle (not a CacheError on every load)."""
+        import json
+
+        from repro import store
+
+        load = {
+            "graph": lambda: store.load_graph("usaroad", scale=0.02, cache=cache),
+            "ordering": lambda: store.cached_ordering(small_social, "vebo", cache=cache,
+                                                      num_partitions=8),
+            "partition": lambda: store.cached_partition(small_social, 8, cache=cache),
+            "edgeorder": lambda: store.cached_edge_order(small_social, "csr", cache=cache),
+        }[kind]
+        load()
+        [(_, key, _)] = [e for e in cache.entries() if e[0] == kind]
+        manifest_path = cache.path_for(kind, key) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["arrays"][member]
+        manifest_path.write_text(json.dumps(manifest))
+        builds = []
+        real_store = cache.store
+        cache.store = lambda *a: builds.append(a[0]) or real_store(*a)
+        load()
+        load()
+        assert builds == [kind]
+        assert member in json.loads(manifest_path.read_text())["arrays"]
+
     def test_unknown_kind_rejected(self, cache):
         with pytest.raises(CacheError):
             cache.path_for("nonsense", "a" * 40)

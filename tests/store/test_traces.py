@@ -6,9 +6,13 @@ unmeasured `-1.0` miss sentinels — survives pack -> npz -> unpack
 **bit-identically**, repeated records are stored once and re-shared on
 load, and the trace key covers exactly the execution inputs (graph
 content, ordering, partition count, algorithm + kwargs) and nothing else.
+A stored bundle that fails to unpack (an unknown code, the earlier
+13-member layout) costs one re-execution, then hits again.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -107,9 +111,9 @@ class TestRoundTrip:
 
     def test_repeated_records_stored_once_and_reshared(self, tmp_path):
         """The vectorized engine appends one shared record object per
-        dense-step template; pricing memoizes on object identity.  The
-        bundle must preserve that: equal records collapse to one stored
-        row and come back as one shared object."""
+        dense-step template; pricing builds one cost-matrix row per
+        record object.  The bundle must preserve that: equal records
+        collapse to one stored row and come back as one shared object."""
         rec = make_record(3)
         other = make_record(3, seed=99)
         trace = WorkTrace(
@@ -117,7 +121,7 @@ class TestRoundTrip:
             records=[rec, rec, other, rec],
         )
         arrays = pack_trace(trace, 1)
-        assert arrays["kind"].shape[0] == 2          # unique records only
+        assert arrays["ints"].shape[0] == 2          # unique records only
         assert list(arrays["record_index"]) == [0, 0, 1, 0]
         stored = roundtrip(trace, tmp_path=tmp_path).trace
         assert traces_equal(stored, trace)
@@ -156,6 +160,30 @@ class TestRoundTrip:
         arrays = pack_trace(make_trace(), 1)
         arrays["meta_json"] = np.array('{"kind": "trace"}')
         with pytest.raises(CacheError, match="missing or corrupt"):
+            unpack_trace(arrays)
+
+    @pytest.mark.parametrize("column,what", [(0, "kind"), (1, "direction"), (2, "density")])
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_unknown_codes_rejected(self, column, what, bad):
+        """Every stored code outside its table fails the bundle, negative
+        codes included (indexing a table would alias them)."""
+        arrays = pack_trace(make_trace(steps=3), 1)
+        ints = np.asarray(arrays["ints"]).copy()
+        ints[1, column] = bad
+        arrays["ints"] = ints
+        with pytest.raises(CacheError, match=f"unknown {what} code"):
+            unpack_trace(arrays)
+
+    def test_uncoded_kind_cannot_be_packed(self):
+        trace = WorkTrace(algorithm="PR", graph_name="g", num_partitions=2,
+                          records=[make_record(2, kind="gather")])
+        with pytest.raises(CacheError, match="no trace code"):
+            pack_trace(trace, 1)
+
+    def test_wrong_member_shape_rejected(self):
+        arrays = pack_trace(make_trace(steps=3), 1)
+        arrays["miss"] = np.asarray(arrays["miss"])[:, :1]
+        with pytest.raises(CacheError, match="shape or dtype"):
             unpack_trace(arrays)
 
     def test_out_of_range_record_index_rejected(self):
@@ -315,6 +343,27 @@ class TestStoreIntegration:
         assert save_trace(key, make_trace(), 1, cache=False) is None
         assert load_trace(key, cache=False) is None
 
+    def test_bundle_is_a_manifest_and_five_members(self, graph, tmp_path):
+        path = save_trace(trace_key(graph, "PR", "original", 4, {}), make_trace(), 1,
+                          cache=ArtifactCache(tmp_path))
+        assert len(list(path.iterdir())) == 6
+        assert set(pack_trace(make_trace(), 1)) == {
+            "record_index", "ints", "miss", "parts", "meta_json"}
+
+    def test_mmap_replay_is_bit_identical_and_reshared(self, graph, tmp_path,
+                                                       monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        rec = make_record(4, src_miss=float("nan"), dst_miss=-0.0)
+        trace = WorkTrace(algorithm="PR", graph_name="g", num_partitions=4,
+                          records=[rec, make_record(4, seed=5), rec])
+        key = trace_key(graph, "PR", "original", 4, {})
+        save_trace(key, trace, 2, cache=cache)
+        monkeypatch.setenv("REPRO_MMAP", "1")
+        stored = load_trace(key, cache=cache).trace
+        assert traces_equal(stored, trace)
+        assert stored.records[0] is stored.records[2]
+        assert not stored.records[1].part_edges.flags.writeable
+
     def test_clean_removes_traces(self, graph, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = trace_key(graph, "PR", "original", 4, {})
@@ -323,3 +372,78 @@ class TestStoreIntegration:
         removed = cache.clean(kind="trace")
         assert len(removed) == 1
         assert not cache.has("trace", key)
+
+
+def _pack_thirteen_members(trace: WorkTrace, iterations: int) -> dict:
+    """A bundle in the earlier 13-member layout (one member per column:
+    string kinds and directions, int8 density codes)."""
+    unique, index = [], []
+    for rec in trace.records:
+        for i, seen in enumerate(unique):
+            if records_equal(seen, rec):
+                index.append(i)
+                break
+        else:
+            index.append(len(unique))
+            unique.append(rec)
+    arrays = {
+        "record_index": np.array(index, dtype=np.int64),
+        "kind": np.array([r.kind for r in unique]),
+        "direction": np.array([r.direction for r in unique]),
+        "density": np.array([DENSITY_CODES[r.density] for r in unique], dtype=np.int8),
+    }
+    for name in ("active_vertices", "active_edges"):
+        arrays[name] = np.array([getattr(r, name) for r in unique], dtype=np.int64)
+    for name in ("src_miss", "dst_miss"):
+        arrays[name] = np.array([getattr(r, name) for r in unique], dtype=np.float64)
+    for name in ("part_edges", "part_dsts", "part_srcs", "part_vertices"):
+        arrays[name] = np.stack([getattr(r, name) for r in unique])
+    arrays["meta_json"] = np.array(json.dumps({
+        "kind": "trace", "algorithm": trace.algorithm, "graph_name": trace.graph_name,
+        "num_partitions": trace.num_partitions, "iterations": iterations, "labels": {},
+    }, sort_keys=True))
+    return arrays
+
+
+class TestUnreadableBundleIsEvicted:
+    """A stored trace that fails to unpack is removed on load, so the next
+    execution replaces it: one re-execution, then hits.  (Left in place,
+    the incumbent survived every store and each later execution re-ran.)"""
+
+    @pytest.fixture
+    def run(self, graph, tmp_path):
+        from repro.experiments.runner import execute
+
+        cache = ArtifactCache(tmp_path)
+
+        def run():
+            return execute(graph, "BFS", "original", num_partitions=4,
+                           traces=cache, backend="vectorized")
+
+        run.cache = cache
+        run.key = trace_key(graph, "BFS", "original", 4, {})
+        return run
+
+    def _replays(self, run, times: int) -> list[bool]:
+        return [run().replayed for _ in range(times)]
+
+    def test_corrupt_density_code_re_executes_once(self, run):
+        fresh = run()
+        assert not fresh.replayed
+        path = run.cache.path_for("trace", run.key)
+        manifest = json.loads((path / "manifest.json").read_text())
+        member = path / manifest["arrays"]["ints"]
+        ints = np.load(member)
+        ints[0, 2] = 7
+        np.save(member, ints)
+        assert self._replays(run, 3) == [False, True, True]
+        assert traces_equal(run().trace, fresh.trace)
+
+    def test_thirteen_member_bundle_upgrades_on_one_re_execution(self, run):
+        fresh = run()
+        run.cache.clean(kind="trace")
+        run.cache.store("trace", run.key, _pack_thirteen_members(fresh.trace, fresh.iterations))
+        assert len(list(run.cache.path_for("trace", run.key).iterdir())) == 14
+        assert self._replays(run, 3) == [False, True, True]
+        assert len(list(run.cache.path_for("trace", run.key).iterdir())) == 6
+        assert traces_equal(run().trace, fresh.trace)
