@@ -29,6 +29,7 @@ import pytest
 
 from repro import store as repro_store
 from repro.experiments import ResultsStore, expand_matrix, run_matrix
+from repro.frameworks.backends import resolve_backend
 from repro.metrics import (
     format_table,
     geometric_mean,
@@ -42,11 +43,12 @@ GRAPHS = ["twitter", "livejournal", "powerlaw"]
 ALGOS = ["PR", "BFS", "PRD", "BF"]
 ORDERINGS = ["original", "rcm", "vebo"]
 FRAMEWORKS = ["ligra", "polymer", "graphgrind"]
-#: Engine backend executing every cell.  Backends are conformance-tested
-#: bit-identical (tests/frameworks/test_backend_conformance.py), so the
-#: persisted store and every assertion below are backend-independent —
-#: the CI matrix proves it by running this harness under both.
-BACKEND = os.environ.get("REPRO_BACKEND") or "reference"
+#: Engine backend executing every cell: ``REPRO_BACKEND``, else the
+#: default.  Backends are conformance-tested bit-identical
+#: (tests/frameworks/test_backend_conformance.py), so the persisted store
+#: and every assertion below are backend-independent — the CI matrix
+#: proves it by running this harness under each shipped backend.
+BACKEND = resolve_backend()
 
 
 def results_store_path():

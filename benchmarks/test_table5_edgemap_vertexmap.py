@@ -100,13 +100,13 @@ def test_table5(dataset, benchmark, request):
 def test_table5_engine_trace_matches_simulated_workload(twitter, ordering, benchmark):
     """The cache-simulated workload above and the engine's work accounting
     describe the same traversal.  Runs on the engine backend selected by
-    ``REPRO_BACKEND`` (the CI matrix covers both), tying Table V to the
-    same execution core as every other table: one dense pull edgemap plus
-    one dense vertexmap must account for every in-edge and every vertex,
-    distributed over the same Algorithm 1 chunks the simulation used."""
-    import os
-
+    ``REPRO_BACKEND``, else the default (the CI matrix covers each), tying
+    Table V to the same execution core as every other table: one dense
+    pull edgemap plus one dense vertexmap must account for every in-edge
+    and every vertex, distributed over the same Algorithm 1 chunks the
+    simulation used."""
     from repro.algorithms.common import make_engine
+    from repro.frameworks.backends import resolve_backend
     from repro.frameworks.engine import EdgeOp
     from repro.frameworks.frontier import Frontier
 
@@ -130,9 +130,8 @@ def test_table5_engine_trace_matches_simulated_workload(twitter, ordering, bench
     )
     engine.vertexmap(frontier, lambda ids, st: None, {})
     em, vm = engine.trace.records
-    backend = os.environ.get("REPRO_BACKEND") or "reference"
     print_header(
-        f"Table V ({ordering}): engine-trace totals ({backend} backend)"
+        f"Table V ({ordering}): engine-trace totals ({resolve_backend()} backend)"
     )
     print(f"edgemap edges {em.total_edges()} (|E| = {g.num_edges}), "
           f"vertexmap vertices {int(vm.part_vertices.sum())} (n = {n})")

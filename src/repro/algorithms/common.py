@@ -68,18 +68,17 @@ def make_engine(
     num_partitions: int,
     algorithm: str,
     boundaries=None,
-    exact_sources: bool = False,
     backend: str | None = None,
 ):
     """Construct an engine plus empty trace for one algorithm run.
 
-    ``backend`` selects the engine implementation (``"reference"``,
-    ``"vectorized"`` or ``"parallel"``); ``None`` defers to the
-    ``REPRO_BACKEND`` environment variable and finally the reference
-    default — see :mod:`repro.frameworks.backends`.  Backends are
-    conformance-tested bit-identical, so the choice never changes
-    results, only wall-clock (the parallel backend additionally reads
-    ``REPRO_PARALLEL_WORKERS`` for its chunk-worker count).
+    ``backend`` selects the engine implementation (``"vectorized"`` or
+    ``"parallel"``); ``None`` defers to the ``REPRO_BACKEND`` environment
+    variable and finally the ``vectorized`` default — see
+    :mod:`repro.frameworks.backends`.  Backends are conformance-tested
+    bit-identical, so the choice never changes results, only wall-clock
+    (the parallel backend additionally reads ``REPRO_PARALLEL_WORKERS``
+    for its chunk-worker count).
     """
     from repro.frameworks.backends import make_engine_backend
 
@@ -88,6 +87,4 @@ def make_engine(
     trace = WorkTrace(
         algorithm=algorithm, graph_name=graph.name, num_partitions=num_partitions
     )
-    return make_engine_backend(
-        graph, boundaries, trace, exact_sources=exact_sources, backend=backend
-    )
+    return make_engine_backend(graph, boundaries, trace, backend=backend)

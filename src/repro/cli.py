@@ -29,7 +29,7 @@ artifact cache::
     vebo-reorder sweep report --out results.jsonl
 
 ``--backend`` (or the ``REPRO_BACKEND`` environment variable) selects the
-frontier-engine implementation (``reference``, ``vectorized``, or
+frontier-engine implementation (``vectorized``, the default, or
 ``parallel``, whose chunk-worker count ``REPRO_PARALLEL_WORKERS`` sets);
 backends are conformance-tested bit-identical, so the choice only changes
 wall-clock, never the persisted numbers.
@@ -242,9 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tbuild.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="engine backend executing trace misses (reference, vectorized, "
-        "parallel; traces are backend-independent, this only changes build "
-        "wall-clock — REPRO_PARALLEL_WORKERS sizes the parallel backend)",
+        help="engine backend executing trace misses (vectorized, parallel; "
+        "default: $REPRO_BACKEND, else vectorized) — traces are "
+        "backend-independent, this only changes build wall-clock "
+        "(REPRO_PARALLEL_WORKERS sizes the parallel backend)",
     )
     tbuild.add_argument(
         "--refresh", action="store_true", help="re-execute even on a stored trace"
@@ -331,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srun.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="engine backend executing every cell (reference, vectorized, "
-        "parallel — REPRO_PARALLEL_WORKERS sizes the parallel backend; "
-        "default: $REPRO_BACKEND, else reference) — results are "
-        "bit-identical across backends, only wall-clock differs",
+        help="engine backend executing every cell (vectorized, parallel — "
+        "REPRO_PARALLEL_WORKERS sizes the parallel backend; default: "
+        "$REPRO_BACKEND, else vectorized) — results are bit-identical "
+        "across backends, only wall-clock differs",
     )
     srun.add_argument(
         "--progress", action="store_true",

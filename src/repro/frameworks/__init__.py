@@ -2,7 +2,7 @@
 
 from repro.frameworks.frontier import DensityClass, Frontier
 from repro.frameworks.trace import IterationRecord, WorkTrace
-from repro.frameworks.engine import EdgeOp, Engine, gather_rows
+from repro.frameworks.engine import EdgeOp, gather_rows
 from repro.frameworks.vectorized import VectorizedEngine
 from repro.frameworks.parallel import (
     MIN_WORK_ENV_VAR,
@@ -35,7 +35,6 @@ __all__ = [
     "IterationRecord",
     "WorkTrace",
     "EdgeOp",
-    "Engine",
     "VectorizedEngine",
     "ParallelEngine",
     "MIN_WORK_ENV_VAR",

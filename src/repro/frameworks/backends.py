@@ -1,39 +1,40 @@
 """Engine backend protocol, registry and selection.
 
 The frontier engine is the execution core of every algorithm run, and the
-repository ships two interchangeable implementations of it:
+library ships two interchangeable implementations of it:
 
-* ``reference`` — :class:`repro.frameworks.engine.Engine`, the original
-  semi-interpreted NumPy engine.  It is deliberately kept simple and is
-  the *oracle*: every other backend is defined as "bit-identical to the
-  reference on every algorithm, ordering and frontier density".
-* ``vectorized`` — :class:`repro.frameworks.vectorized.VectorizedEngine`,
-  a Ligra-style push/pull engine that executes dense edgemaps over
-  precomputed COO/CSC streams, reduces with ``np.bincount`` /
-  ``np.ufunc.reduceat`` segment kernels instead of ``np.ufunc.at``
-  scatters, and memoizes every layout-dependent quantity (partition maps,
-  full-stream work records, segment boundaries) across engine
-  constructions.  The differential conformance suite
-  (``tests/frameworks/test_backend_conformance.py``) pins down the
-  bit-equality.
+* ``vectorized`` (the default) —
+  :class:`repro.frameworks.vectorized.VectorizedEngine`, a Ligra-style
+  push/pull engine that executes dense edgemaps over precomputed COO/CSC
+  streams, reduces with ``np.bincount`` / ``np.ufunc.reduceat`` segment
+  kernels where it can, and memoizes every layout-dependent quantity
+  (partition maps, full-stream work records, segment boundaries) across
+  engine constructions.
 * ``parallel`` — :class:`repro.frameworks.parallel.ParallelEngine`, the
   vectorized engine with fully dense edgemap/vertexmap steps fanned out
   across threaded chunk workers over the Algorithm-1 partition bands;
   each worker owns a disjoint destination range, so results stay
   bit-identical at every worker count (``REPRO_PARALLEL_WORKERS``; see
-  the module docstring for the determinism argument).  Held to the same
-  conformance bar, plus a dedicated determinism suite
-  (``tests/frameworks/test_parallel_determinism.py``).
+  the module docstring for the determinism argument).
+
+Both are defined as "bit-identical to the oracle engine on every
+algorithm, ordering and frontier density".  The oracle is a deliberately
+simple engine kept in the test tree (``tests/oracles.py``), which
+registers it as ``reference`` for the tests only; the differential
+conformance suite (``tests/frameworks/test_backend_conformance.py``) pins
+the bit-equality, and a determinism suite
+(``tests/frameworks/test_parallel_determinism.py``) pins the parallel
+backend's worker-count invariance.
 
 Backends implement the :class:`EngineBackend` protocol — construction
-from ``(graph, boundaries, trace, exact_sources)`` plus the ``edgemap`` /
-``vertexmap`` entry points — so algorithms never name a concrete class.
+from ``(graph, boundaries, trace)`` plus the ``edgemap`` / ``vertexmap``
+entry points — so algorithms never name a concrete class.
 
 Selection is threaded end to end: algorithms accept ``backend=``, the
 experiment runner and sweep orchestrator forward it, the CLI exposes
 ``--backend`` and the environment variable :data:`BACKEND_ENV_VAR`
 (``REPRO_BACKEND``) supplies the process-wide default, which is how the
-CI matrix runs the whole tier-1 suite under either implementation.
+CI matrix runs the whole tier-1 suite under the parallel backend.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.frameworks.parallel import ParallelEngine
+from repro.frameworks.vectorized import VectorizedEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.frameworks.engine import EdgeOp
@@ -67,7 +70,7 @@ __all__ = [
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Backend used when neither the caller nor the environment picks one.
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "vectorized"
 
 
 @runtime_checkable
@@ -75,19 +78,17 @@ class EngineBackend(Protocol):
     """What every engine backend must provide.
 
     A backend is a class constructed per algorithm run from the graph, the
-    accounting partition boundaries, an empty :class:`WorkTrace` and the
-    ``exact_sources`` accounting flag; the instance then executes
-    ``edgemap`` / ``vertexmap`` steps.  Two backends are *conformant* when,
-    fed the same construction arguments and the same step sequence, they
-    produce bit-identical next frontiers, bit-identical state mutations
-    (through the user-supplied ``gather``/``apply`` callables) and
-    bit-identical trace records.
+    accounting partition boundaries and an empty :class:`WorkTrace`; the
+    instance then executes ``edgemap`` / ``vertexmap`` steps.  Two
+    backends are *conformant* when, fed the same construction arguments
+    and the same step sequence, they produce bit-identical next
+    frontiers, bit-identical state mutations (through the user-supplied
+    ``gather``/``apply`` callables) and bit-identical trace records.
     """
 
     graph: "Graph"
     boundaries: np.ndarray
     trace: "WorkTrace"
-    exact_sources: bool
     num_partitions: int
 
     def edgemap(
@@ -145,24 +146,11 @@ def make_engine_backend(
     graph: "Graph",
     boundaries: np.ndarray,
     trace: "WorkTrace",
-    exact_sources: bool = False,
     backend: str | None = None,
 ) -> EngineBackend:
     """Construct an engine of the resolved backend."""
-    cls = get_backend(backend)
-    return cls(graph, boundaries, trace, exact_sources=exact_sources)
+    return get_backend(backend)(graph, boundaries, trace)
 
 
-def _populate() -> None:
-    # Imported here (not at module top) so engine.py and vectorized.py can
-    # import this module's registry helpers without a cycle.
-    from repro.frameworks.engine import Engine
-    from repro.frameworks.parallel import ParallelEngine
-    from repro.frameworks.vectorized import VectorizedEngine
-
-    register_backend("reference", Engine)
-    register_backend("vectorized", VectorizedEngine)
-    register_backend("parallel", ParallelEngine)
-
-
-_populate()
+register_backend("vectorized", VectorizedEngine)
+register_backend("parallel", ParallelEngine)

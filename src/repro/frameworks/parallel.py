@@ -1,7 +1,7 @@
 """The ``parallel`` engine backend: threaded chunk workers over dense steps.
 
-:class:`ParallelEngine` is the third engine backend.  It subclasses the
-``vectorized`` backend and overrides exactly one thing: **fully dense**
+:class:`ParallelEngine` is the second engine backend.  It subclasses the
+``vectorized`` engine and overrides exactly one thing: **fully dense**
 edgemap/vertexmap steps execute concurrently across a pool of chunk
 workers instead of as one monolithic numpy call.  Sparse and medium
 frontiers — small, latency-bound, dominated by Python dispatch rather
@@ -34,9 +34,9 @@ boundaries cannot change which values meet in an accumulator — only
 vectorized backend's own (``np.bincount`` for ``add``, which performs the
 identical float64 additions in the identical sequential order as
 ``np.add.at``; ``np.ufunc.reduceat`` over destination segments for
-``min``/``or``; the reference ``ufunc.at`` fallback for non-standard
-identities, fed the destination-grouped stream whose within-destination
-order is the CSR order the reference would use).  Each worker writes its
+``min``/``or``; the ``ufunc.at`` fallback for non-standard identities,
+fed the destination-grouped stream whose within-destination order is the
+CSR order a sequential push scatters in).  Each worker writes its
 results into a disjoint slice of one preallocated output, and the
 user-visible ``apply`` runs once, on the orchestrating thread, over the
 same ``(touched, reduced)`` pair every other backend produces.  The
@@ -44,7 +44,8 @@ output is therefore a pure function of the inputs — independent of
 worker count, scheduling order, and interleaving — which the determinism
 suite (``tests/frameworks/test_parallel_determinism.py``) hammers with
 hostile floats at worker counts 1/2/4/8 and the differential conformance
-suite holds to the reference oracle across the full algorithm matrix.
+suite holds to the oracle engine (``tests/oracles.py``) across the full
+algorithm matrix.
 
 The one semantic requirement this adds: an :class:`EdgeOp`'s ``gather``
 (and a vertexmap function) must be *elementwise-pure* — the value it
@@ -234,11 +235,10 @@ class ParallelEngine(VectorizedEngine):
         graph: Graph,
         boundaries: np.ndarray,
         trace: WorkTrace,
-        exact_sources: bool = False,
         workers: int | None = None,
         min_work: int | None = None,
     ) -> None:
-        super().__init__(graph, boundaries, trace, exact_sources=exact_sources)
+        super().__init__(graph, boundaries, trace)
         self._workers = resolve_workers(workers)
         self._min_work = resolve_min_work(min_work)
 

@@ -1,17 +1,19 @@
-"""The ``vectorized`` engine backend: segment reductions over COO/CSC.
+"""The frontier engine: segment reductions over COO/CSC streams.
 
-:class:`VectorizedEngine` executes the same edgemap/vertexmap semantics as
-the reference :class:`~repro.frameworks.engine.Engine` — it *is* one,
-structurally: it subclasses the reference and overrides only the edge
-extraction, the reduction kernels and the work-accounting fast paths — but
-it is built for throughput, with every result (state mutations, frontier
-sequences, trace records) bit-identical to the reference.  The
-differential conformance suite pins that equality down; this module's job
-is to make the fast path fast without ever being allowed to differ.
+:class:`VectorizedEngine` executes every edgemap/vertexmap step of every
+algorithm run (the ``vectorized`` backend, the default), and the
+``parallel`` backend (:mod:`repro.frameworks.parallel`) subclasses it.  It
+is built for throughput, yet every result (state mutations, frontier
+sequences, trace records) must stay bit-identical to a deliberately
+simple oracle engine kept in the test tree (``tests/oracles.py``: mask
+compression, ``np.ufunc.at`` scatters, every step accounted from
+scratch).  The differential conformance suite pins that equality down;
+this module's job is to make the fast path fast without ever being
+allowed to differ.
 
-Where the time goes, and what this backend does about it:
+Where the time goes, and what this engine does about it:
 
-* **Reduction kernels.**  The reference scatters with ``np.ufunc.at``.
+* **Reduction kernels.**  The oracle scatters with ``np.ufunc.at``.
   Here ``add`` reductions run through ``np.bincount(dsts, weights=vals)``
   — a sequential C loop that performs the *identical* float64 additions in
   the *identical* order as ``np.add.at`` (bit-equal by construction, which
@@ -28,11 +30,12 @@ Where the time goes, and what this backend does about it:
   same CSC segment starts.
 * **Dense work accounting.**  A dense step's trace record (per-partition
   edge/destination/source counters and the sampled stream-miss fractions)
-  is a pure function of the graph layout, so it is computed once — with
-  the reference's own accounting code — and replayed for every subsequent
-  dense step.  This removes the per-iteration line-id sort behind
+  is a pure function of the graph layout, so it is built once and
+  replayed for every subsequent dense step.  This removes the
+  per-iteration line-id sort behind
   :func:`~repro.machine.locality.line_hit_fraction`, the dominant cost of
-  dense iterative algorithms (PR, BP, SPMV) under the reference.
+  dense iterative algorithms (PR, BP, SPMV) when every step is accounted
+  from scratch.
 * **Partial-step locality memo.**  A partial step's sampled stream-miss
   measurement is memoized per layout: the key is the stream length and
   its end elements, and a stored measurement is reused only when both
@@ -47,17 +50,17 @@ Where the time goes, and what this backend does about it:
   a weak per-graph cache, so a sweep pricing eight algorithms over one
   prepared graph pays the setup once instead of eight times.
 
-Partial (sparse / medium-dense) frontiers still compress by mask exactly
-like the reference and reuse the reference's accounting code unchanged;
-their reductions use the segment kernels when the destination stream is
-sorted (pull) and the reference kernels otherwise (sparse push), both of
+Partial (sparse / medium-dense) frontiers extract their active edges as
+the oracle does (mask compression for pull, row gathers for push); their
+reductions use the segment kernels when the destination stream is sorted
+(pull) and ``np.ufunc.at`` scatters otherwise (sparse push), both of
 which are bit-equal.
 
 The segment fast paths additionally require the reduction identity the
 kernels assume (``0.0`` for ``add``, ``+inf`` for ``min``, ``-inf`` for
 ``or``); an :class:`~repro.frameworks.engine.EdgeOp` carrying any other
-identity silently falls back to the reference kernel on the same streams,
-keeping conformance unconditional.
+identity silently falls back to the ``np.ufunc.at`` kernel on the same
+streams, keeping conformance unconditional.
 """
 
 from __future__ import annotations
@@ -65,11 +68,19 @@ from __future__ import annotations
 import threading
 from collections import deque
 from functools import cached_property
+from typing import Callable
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.frameworks.engine import EdgeOp, Engine, gather_rows
+from repro.errors import SimulationError
+from repro.frameworks.engine import (
+    DIRECTION_THRESHOLD_DENOM,
+    _MISS_SAMPLE,
+    EdgeOp,
+    _stream_miss,
+    gather_rows,
+)
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.trace import IterationRecord, WorkTrace
 from repro.graph.csr import INDEX_DTYPE, Graph
@@ -84,10 +95,10 @@ def _is_positive_zero(x: float) -> bool:
 class _SharedLayout:
     """Per-(graph, boundaries) immutable state shared across engines.
 
-    Eager members are what the reference engine computes in its own
-    ``__init__``; the rest are lazy because only some algorithms need them
-    (``csr_src`` only for dense push, ``push_perm`` only for dense push
-    with an order-insensitive reduction, ...).
+    Eager members are what every step's accounting needs; the rest are
+    lazy because only some algorithms need them (``csr_src`` only for
+    dense push, ``push_perm`` only for dense push with an
+    order-insensitive reduction, ...).
 
     The borrowed graph arrays may be read-only — including memory-mapped
     straight off the artifact cache — so every layout member here is a
@@ -107,12 +118,10 @@ class _SharedLayout:
         self.csc_dst = np.repeat(
             np.arange(n, dtype=INDEX_DTYPE), graph.csc.degrees()
         )
-        self.csc_part = self.vertex_part[self.csc_dst]
-        self.out_degs = graph.out_degrees()
         full = compute_stats(graph, boundaries)
         self.full_edges = np.maximum(full.edges, 1).astype(np.float64)
         self.full_srcs = full.unique_sources.astype(np.float64)
-        #: (direction, kind, exact_sources) -> dense IterationRecord
+        #: (direction, stream) or ("vertexmap", "-") -> dense IterationRecord
         self.record_templates: dict[tuple, IterationRecord] = {}
         #: Memo of partial-step stream-miss measurements: stream length and
         #: end elements -> [(srcs, dsts, measurement)], with the stored
@@ -157,7 +166,7 @@ class _SharedLayout:
         """Stable permutation grouping the CSR edge stream by destination.
         Stability preserves CSR order within each destination, so even
         order-*sensitive* reductions over the permuted stream accumulate
-        in the reference's order."""
+        in push order."""
         return np.argsort(self.graph.csr.adj, kind="stable")
 
 
@@ -190,40 +199,82 @@ def _layout_for(graph: Graph, boundaries: np.ndarray) -> _SharedLayout:
     return layout
 
 
-class VectorizedEngine(Engine):
-    """Drop-in engine backend with vectorized segment reductions.
+class VectorizedEngine:
+    """Frontier engine bound to one graph and one partition layout.
 
-    Same constructor, same ``edgemap``/``vertexmap`` contract, same trace
-    output as the reference :class:`Engine`; see the module docstring for
-    what is overridden and why it cannot change results.
+    ``boundaries`` (``int64[P + 1]``) defines the destination chunks used
+    for work accounting; they do not affect results, only the trace.  See
+    the module docstring for how each step runs and why it cannot change
+    results.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        boundaries: np.ndarray,
-        trace: WorkTrace,
-        exact_sources: bool = False,
-    ) -> None:
-        # Mirror the reference constructor's attribute surface, but pull
-        # every layout-derived array from the shared cache instead of
-        # recomputing it per algorithm run.
+    def __init__(self, graph: Graph, boundaries: np.ndarray, trace: WorkTrace) -> None:
         self.graph = graph
         self.boundaries = np.ascontiguousarray(boundaries, dtype=INDEX_DTYPE)
         self.trace = trace
-        self.exact_sources = exact_sources
         self.num_partitions = self.boundaries.size - 1
+        # Every layout-derived array comes from the shared cache instead
+        # of being recomputed per algorithm run.
         shared = _layout_for(graph, self.boundaries)
         self._shared = shared
+        #: Partition of each vertex (destination side).
         self._vertex_part = shared.vertex_part
+        #: CSC edge -> destination vertex.
         self._csc_dst = shared.csc_dst
-        self._csc_part = shared.csc_part
-        self._out_degs = shared.out_degs
-        self._full_edges = shared.full_edges
-        self._full_srcs = shared.full_srcs
+        #: The last ``(dsts, touched)`` pair of :meth:`_touched_dsts`.
+        self._touched_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    # Work accounting: replay cached records for full-stream dense steps
+    # edgemap / vertexmap
+    # ------------------------------------------------------------------
+    def edgemap(
+        self,
+        frontier: Frontier,
+        op: EdgeOp,
+        state: dict,
+        direction: str = "auto",
+        dst_candidates: np.ndarray | None = None,
+    ) -> Frontier:
+        """One edgemap step; returns the next frontier.
+
+        ``direction`` pins ``"push"``/``"pull"`` or lets the Beamer
+        heuristic decide (``"auto"``).  ``dst_candidates`` optionally
+        restricts pull mode to a candidate destination set (e.g. BFS only
+        pulls into unvisited vertices).
+        """
+        graph = self.graph
+        if frontier.is_empty():
+            return Frontier.empty(graph.num_vertices)
+        if direction == "auto":
+            threshold = graph.num_edges // DIRECTION_THRESHOLD_DENOM
+            use_pull = frontier.active_out_edges(graph) + frontier.count() > threshold
+            direction = "pull" if use_pull else "push"
+        if direction == "pull":
+            return self._edgemap_pull(frontier, op, state, dst_candidates)
+        if direction == "push":
+            return self._edgemap_push(frontier, op, state)
+        raise SimulationError(f"unknown direction {direction!r}")
+
+    def vertexmap(
+        self,
+        frontier: Frontier,
+        fn: Callable[[np.ndarray, dict], np.ndarray | None],
+        state: dict,
+    ) -> Frontier:
+        """Apply ``fn(active_ids, state)``; its boolean return (or None)
+        filters the frontier."""
+        self._record_vertexmap(frontier)
+        ids = frontier.ids
+        keep = fn(ids, state)
+        if keep is None:
+            return frontier
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != ids.shape:
+            raise SimulationError("vertexmap filter must match the active set")
+        return Frontier.from_ids(ids[keep], self.graph.num_vertices)
+
+    # ------------------------------------------------------------------
+    # Work accounting
     # ------------------------------------------------------------------
 
     #: Upper bound on the per-layout stream-miss memo (bytes of the
@@ -246,8 +297,6 @@ class VectorizedEngine(Engine):
         measured and stored separately.  A FIFO byte budget over the
         stored streams bounds retention.
         """
-        from repro.frameworks.engine import _MISS_SAMPLE, _stream_miss
-
         if srcs.size > _MISS_SAMPLE:
             # Identical sampling to _stream_miss, applied up front so the
             # stored streams (and their memory cost) are bounded;
@@ -276,63 +325,103 @@ class VectorizedEngine(Engine):
             shared.miss_memo_bytes -= old_srcs.nbytes + old_dsts.nbytes
         return measured
 
+    def _edgemap_record(
+        self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray
+    ) -> IterationRecord:
+        """The work record of one edgemap step over its active streams."""
+        p = self.num_partitions
+        parts = self._vertex_part[dsts]
+        part_edges = np.bincount(parts, minlength=p).astype(np.int64)
+        if dsts.size:
+            touched = self._touched_dsts(dsts)
+            part_dsts = np.bincount(
+                self._vertex_part[touched], minlength=p
+            ).astype(np.int64)
+        else:
+            part_dsts = np.zeros(p, dtype=np.int64)
+        # Distinct sources per partition: an exact (partition, source)
+        # dedup would cost an O(m log m) lexsort per step, so the static
+        # per-partition totals are scaled by each partition's active-edge
+        # fraction instead (exact for dense steps, proportional for
+        # sparse ones).
+        if srcs.size == 0:
+            part_srcs = np.zeros(p, dtype=np.int64)
+        else:
+            frac = np.minimum(part_edges / self._shared.full_edges, 1.0)
+            part_srcs = np.ceil(self._shared.full_srcs * frac).astype(np.int64)
+        # Per-step locality of the *actual* access streams (sampled).  A
+        # BFS wave in a community-local ordering reads tightly clustered
+        # sources; a random permutation scatters the same wave across the
+        # whole array.  Layout-level measurements cannot see that, so each
+        # record carries its own miss fractions.
+        src_miss, dst_miss = self._stream_miss_pair(srcs, dsts)
+        return IterationRecord(
+            kind="edgemap",
+            direction=direction,
+            density=frontier.classify(self.graph),
+            active_vertices=frontier.count(),
+            active_edges=int(dsts.size),
+            part_edges=part_edges,
+            part_dsts=part_dsts,
+            part_srcs=part_srcs,
+            part_vertices=np.zeros(p, dtype=np.int64),
+            src_miss=src_miss,
+            dst_miss=dst_miss,
+        )
+
+    def _vertexmap_record(self, frontier: Frontier) -> IterationRecord:
+        """The work record of one vertexmap step."""
+        p = self.num_partitions
+        ids = frontier.ids
+        part_vertices = np.bincount(
+            self._vertex_part[ids], minlength=p
+        ).astype(np.int64) if ids.size else np.zeros(p, dtype=np.int64)
+        return IterationRecord(
+            kind="vertexmap",
+            direction="-",
+            density=frontier.classify(self.graph),
+            active_vertices=frontier.count(),
+            active_edges=0,
+            part_edges=np.zeros(p, dtype=np.int64),
+            part_dsts=np.zeros(p, dtype=np.int64),
+            part_srcs=np.zeros(p, dtype=np.int64),
+            part_vertices=part_vertices,
+        )
+
+    # A fully dense step over a full stream has a record that is a pure
+    # function of the layout: the two methods below build it once per
+    # layout and append the same (immutable) record on every replay.
+
     def _record_edgemap(
-        self,
-        direction: str,
-        frontier: Frontier,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        count_sources: bool = True,
+        self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray
     ) -> None:
         shared = self._shared
         graph = self.graph
-        kind = None
-        if count_sources:
+        stream = None
+        if frontier.count() == graph.num_vertices:
             if srcs is graph.csc.adj and dsts is shared.csc_dst:
-                kind = "csc"
+                stream = "csc"
             elif srcs is shared.__dict__.get("csr_src") and dsts is graph.csr.adj:
                 # (__dict__ lookup: plain getattr would *materialize* the
                 # lazy csr_src stream just to compare identities)
-                kind = "csr"
-        if kind is None or frontier.count() != graph.num_vertices:
-            Engine._record_edgemap(self, direction, frontier, srcs, dsts, count_sources)
-            return
-        # Full stream + fully dense frontier: the record is a pure
-        # function of the layout.  Build it once with the reference
-        # accounting code, then replay the (immutable) record.
-        key = (direction, kind, self.exact_sources)
-        record = shared.record_templates.get(key)
-        if record is None:
-            live, self.trace = self.trace, WorkTrace(
-                algorithm="", graph_name="", num_partitions=self.num_partitions
-            )
-            try:
-                Engine._record_edgemap(
-                    self, direction, frontier, srcs, dsts, count_sources
-                )
-                record = self.trace.records[0]
-            finally:
-                self.trace = live
-            shared.record_templates[key] = record
+                stream = "csr"
+        if stream is None:
+            record = self._edgemap_record(direction, frontier, srcs, dsts)
+        else:
+            record = shared.record_templates.get((direction, stream))
+            if record is None:
+                record = self._edgemap_record(direction, frontier, srcs, dsts)
+                shared.record_templates[direction, stream] = record
         self.trace.append(record)
 
     def _record_vertexmap(self, frontier: Frontier) -> None:
-        shared = self._shared
         if frontier.count() != self.graph.num_vertices:
-            Engine._record_vertexmap(self, frontier)
-            return
-        key = ("vertexmap", "-", self.exact_sources)
-        record = shared.record_templates.get(key)
-        if record is None:
-            live, self.trace = self.trace, WorkTrace(
-                algorithm="", graph_name="", num_partitions=self.num_partitions
-            )
-            try:
-                Engine._record_vertexmap(self, frontier)
-                record = self.trace.records[0]
-            finally:
-                self.trace = live
-            shared.record_templates[key] = record
+            record = self._vertexmap_record(frontier)
+        else:
+            templates = self._shared.record_templates
+            record = templates.get(("vertexmap", "-"))
+            if record is None:
+                record = templates["vertexmap", "-"] = self._vertexmap_record(frontier)
         self.trace.append(record)
 
     # ------------------------------------------------------------------
@@ -386,9 +475,9 @@ class VectorizedEngine(Engine):
         changed = np.asarray(changed)
         next_ids = touched[changed]
         if changed.dtype != np.bool_:
-            # The apply contract says "boolean mask", but the reference
-            # would happily fancy-index with anything array-like; route
-            # such selections through from_ids so semantics stay equal.
+            # The apply contract says "boolean mask", but fancy indexing
+            # accepts anything array-like; route such selections through
+            # from_ids so semantics stay those of a plain index.
             return Frontier.from_ids(next_ids, self.graph.num_vertices)
         mask = np.zeros(self.graph.num_vertices, dtype=bool)
         mask[next_ids] = True
@@ -399,19 +488,38 @@ class VectorizedEngine(Engine):
     _SPARSE_FACTOR = 16
 
     def _touched_dsts(self, dsts: np.ndarray) -> np.ndarray:
-        """Sorted unique destinations; sparse streams take an O(e log e)
-        sort instead of the reference's O(n) flag sweep (identical sorted
-        unique int64 output), and the result is memoized per stream so the
-        accounting and the reduction share one computation."""
-        cache = getattr(self, "_touched_cache", None)
+        """Sorted unique destinations of a step (int64), memoized per
+        stream so the accounting and the reduction share one computation.
+        Sparse streams sort (O(e log e)); denser ones sweep a touch-flag
+        array (O(n + e), no sort)."""
+        cache = self._touched_cache
         if cache is not None and cache[0] is dsts:
             return cache[1]
         if dsts.size * self._SPARSE_FACTOR < self.graph.num_vertices:
             touched = np.unique(dsts).astype(INDEX_DTYPE, copy=False)
         else:
-            touched = Engine._touched_dsts(self, dsts)
+            flag = np.zeros(self.graph.num_vertices, dtype=bool)
+            flag[dsts] = True
+            touched = np.flatnonzero(flag).astype(INDEX_DTYPE)
         self._touched_cache = (dsts, touched)
         return touched
+
+    @staticmethod
+    def _reduce_at(reduce: str, acc: np.ndarray, dsts: np.ndarray, vals: np.ndarray) -> None:
+        """Scatter-reduce ``vals`` into ``acc`` at ``dsts`` (``ufunc.at``)."""
+        # Reduce in the accumulator's dtype, explicitly.  ``ufunc.at``
+        # upcasts a float32 ``vals`` element-by-element, which happens to
+        # accumulate in float64 — but silently, and segment kernels
+        # (``np.bincount`` / ``reduceat``) would instead reduce in float32
+        # and diverge.  One explicit cast pins the contract for every
+        # kernel: arithmetic happens in ``acc.dtype``.
+        vals = np.asarray(vals, dtype=acc.dtype)
+        if reduce == "add":
+            np.add.at(acc, dsts, vals)
+        elif reduce == "min":
+            np.minimum.at(acc, dsts, vals)
+        else:  # "or"
+            np.maximum.at(acc, dsts, vals)
 
     def _finish_full(
         self, frontier: Frontier, op: EdgeOp, state: dict, direction: str
@@ -497,9 +605,9 @@ class VectorizedEngine(Engine):
     ) -> Frontier:
         """Finish a step with an unordered destination stream (sparse /
         medium push).  ``add`` still avoids ``np.add.at`` via ``bincount``
-        (same sequential order); ``min``/``or`` scatter like the
-        reference — sorting small irregular streams costs more than the
-        scatter saves."""
+        (same sequential order); ``min``/``or`` scatter with ``ufunc.at``
+        — sorting small irregular streams costs more than the scatter
+        saves."""
         graph = self.graph
         n = graph.num_vertices
         self._record_edgemap(direction, frontier, srcs, dsts)
@@ -514,8 +622,8 @@ class VectorizedEngine(Engine):
         if compact:
             # Accumulate into a touched-indexed array: the remap preserves
             # the stream order, so every per-destination accumulation
-            # happens in the reference's sequence, just without O(n)
-            # allocations on a step touching a handful of vertices.
+            # happens in stream order, just without O(n) allocations on a
+            # step touching a handful of vertices.
             idx = np.searchsorted(touched, dsts)
             if op.reduce == "add" and _is_positive_zero(op.identity):
                 reduced = np.bincount(idx, weights=vals, minlength=touched.size)

@@ -5,14 +5,23 @@ store is a normal state (a store is "just created" the moment a sweep is
 configured), so it must say "no results" and exit 0 — never raise.  The
 `--backend` flag must validate up front, execute cells on the chosen
 engine, and stay *out* of the cell key so stores resume across backends.
+Outside the test tree it offers only the shipped engines: ``reference``
+is the test tree's oracle.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.experiments import ResultsStore, expand_matrix
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -76,6 +85,20 @@ class TestBackendFlag:
         assert rc == 1
         assert "unknown engine backend" in captured.err
         assert not out.exists() or len(ResultsStore(out)) == 0
+
+    def test_reference_backend_unknown_outside_the_test_tree(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=SRC, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "run", *self.SMALL,
+             "--out", str(tmp_path / "s.jsonl"), "--backend", "reference"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert ("unknown engine backend 'reference'; "
+                "available: ['parallel', 'vectorized']") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "s.jsonl").exists()
 
     def test_backend_not_in_cell_key(self):
         ref = expand_matrix(["twitter"], ["PR"], ["ligra"], ["original"],

@@ -1,14 +1,15 @@
-"""Differential conformance: the fast backends ARE the reference engine.
+"""Differential conformance: the shipped backends ARE the oracle engine.
 
-The ``vectorized`` and ``parallel`` backends exist purely for throughput;
-their contract is bit-equality with the reference engine on everything
-observable:
+The ``vectorized`` and ``parallel`` backends are built for throughput;
+their contract is bit-equality with the oracle engine
+(:class:`oracles.ReferenceEngine`, registered as ``reference``) on
+everything observable:
 
 * final algorithm state (every value array, dtype included),
 * the frontier sequence (mask and id list after every edgemap/vertexmap),
 * trace accounting (every field of every :class:`IterationRecord`).
 
-This suite pins the contract down three ways, for **every** non-reference
+This suite pins the contract down four ways, for **every** shipped
 backend (each test is parametrized over ``CONFORMANCE_BACKENDS``; the
 ``parallel`` backend additionally runs with several chunk workers and a
 zero fan-out threshold, so its concurrent dense paths are genuinely
@@ -50,7 +51,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import ALGORITHMS
 from repro.experiments.runner import prepare
 from repro.frameworks.backends import BACKENDS, get_backend
-from repro.frameworks.engine import EdgeOp, Engine
+from repro.frameworks.engine import EdgeOp
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.parallel import (
     MIN_WORK_ENV_VAR,
@@ -63,10 +64,12 @@ from repro.graph import generators as gen
 from repro.graph.csr import CSRMatrix, Graph
 from repro.partition.algorithm1 import chunk_boundaries
 
+from oracles import ReferenceEngine
+
 CONFORMANCE_ORDERINGS = ["original", "vebo", "hilbert"]
 ALL_ALGOS = list(ALGORITHMS)
 
-#: Every backend that must match the reference oracle bit for bit, with a
+#: Every backend that must match the oracle engine bit for bit, with a
 #: factory building an engine whose fast paths are actually exercised at
 #: test scale (the parallel backend would otherwise fall back to its
 #: sequential path on graphs this small / machines with one core).
@@ -119,13 +122,12 @@ def assert_states_identical(ref: dict, vec: dict) -> None:
             assert a == b, k
 
 
-def make_pair(graph: Graph, p: int, exact_sources: bool = False,
-              backend: str = "vectorized"):
+def make_pair(graph: Graph, p: int, backend: str = "vectorized"):
     boundaries = chunk_boundaries(graph.in_degrees(), p)
     engines = []
-    for build in (Engine, ENGINE_FACTORIES[backend]):
+    for build in (ReferenceEngine, ENGINE_FACTORIES[backend]):
         trace = WorkTrace(algorithm="conf", graph_name=graph.name, num_partitions=p)
-        engines.append(build(graph, boundaries, trace, exact_sources=exact_sources))
+        engines.append(build(graph, boundaries, trace))
     return engines
 
 
@@ -134,10 +136,10 @@ def make_pair(graph: Graph, p: int, exact_sources: bool = False,
 # ----------------------------------------------------------------------
 
 def test_backend_registry():
-    assert BACKENDS["reference"] is Engine
+    assert BACKENDS["reference"] is ReferenceEngine
     assert BACKENDS["vectorized"] is VectorizedEngine
     assert BACKENDS["parallel"] is ParallelEngine
-    assert get_backend("reference") is Engine
+    assert get_backend("reference") is ReferenceEngine
     assert get_backend("vectorized") is VectorizedEngine
     assert get_backend("parallel") is ParallelEngine
 
@@ -273,28 +275,9 @@ def test_lockstep_vertexmap(lockstep_graph, backend):
     assert_traces_identical(ref.trace, vec.trace)
 
 
-def test_exact_sources_accounting_conforms(lockstep_graph, backend):
-    """The exact (partition, source) dedup accounting path must also be
-    bit-identical, including on replayed dense records."""
-    g = lockstep_graph
-    n = g.num_vertices
-    values = np.arange(n, dtype=np.float64)
-    ref, vec = make_pair(g, 24, exact_sources=True, backend=backend)
-    op = _add_op(values)
-    st_ref = {"acc": np.zeros(n)}
-    st_vec = {"acc": np.zeros(n)}
-    full = Frontier.all_vertices(n)
-    part = Frontier.from_ids(np.arange(0, n, 3), n)
-    for f in (full, part, full):
-        ref.edgemap(f, op, st_ref, direction="pull")
-        vec.edgemap(f, op, st_vec, direction="pull")
-    assert_states_identical(st_ref, st_vec)
-    assert_traces_identical(ref.trace, vec.trace)
-
-
 def test_nonstandard_identity_falls_back_bit_identical(lockstep_graph, backend):
     """An EdgeOp with a non-standard identity (here: min with a finite
-    ceiling) must take the reference fallback kernel and still conform."""
+    ceiling) must take the ``ufunc.at`` fallback kernel and still conform."""
     g = lockstep_graph
     n = g.num_vertices
 
@@ -351,7 +334,7 @@ def algo_graph():
 def test_algorithms_conform_across_orderings(algo_graph, monkeypatch, algo, ordering):
     """All 8 algorithms x {original, VEBO, Hilbert} orderings: final
     state, frontier-driven iteration counts and trace accounting are
-    bit-identical between the reference and every fast backend."""
+    bit-identical between the oracle and every shipped backend."""
     monkeypatch.setenv(WORKERS_ENV_VAR, "4")
     monkeypatch.setenv(MIN_WORK_ENV_VAR, "0")
     p = 16
@@ -378,8 +361,8 @@ def test_cc_async_conforms(algo_graph, monkeypatch, algo):
 
 def test_full_dataset_matrix_conforms(monkeypatch):
     """Acceptance sweep: every registered dataset x all 8 algorithms,
-    original + VEBO + Hilbert layouts, reference vs every fast backend,
-    bit-identical end to end.
+    original + VEBO + Hilbert layouts, the oracle vs every shipped
+    backend, bit-identical end to end.
 
     Scaled-down builds keep this tractable; the layouts and frontier
     shapes are what matter, not the vertex counts.
@@ -413,7 +396,7 @@ def test_full_dataset_matrix_conforms(monkeypatch):
 # bundle.  An engine that mutated a borrowed buffer would raise
 # ``ValueError: assignment destination is read-only`` the moment it
 # tried; a silent copy would show up as a result divergence.  Both
-# failure modes are pinned here for all three backends.
+# failure modes are pinned here for the shipped backends and the oracle.
 
 
 def _mmap_graph(graph: Graph, root) -> Graph:
@@ -482,7 +465,7 @@ def test_lockstep_min_relaxation_on_mmapped_graph(
 def test_algorithms_identical_on_mmapped_graph(
     algo_graph, mmap_graph, monkeypatch, algo
 ):
-    """All 8 algorithms on all three backends over a read-only mmapped
+    """All 8 algorithms on every backend over a read-only mmapped
     graph: bit-identical to the eager in-memory run, proving no backend
     writes to (or depends on writing to) borrowed buffers."""
     monkeypatch.setenv(WORKERS_ENV_VAR, "4")
@@ -571,7 +554,7 @@ def test_single_edgemap_conforms(backend_name, case):
     op = EdgeOp(gather=gather, reduce=reduce, apply=apply, identity=identity)
     boundaries = chunk_boundaries(graph.in_degrees(), p)
     outs, states, traces = [], [], []
-    for build in (Engine, ENGINE_FACTORIES[backend_name]):
+    for build in (ReferenceEngine, ENGINE_FACTORIES[backend_name]):
         trace = WorkTrace(algorithm="hyp", graph_name="hyp", num_partitions=p)
         eng = build(graph, boundaries, trace)
         st_ = {"vals": values.copy(), "seen": np.zeros(n)}
@@ -612,7 +595,7 @@ def test_float32_gather_upcasts_identically(backend_name, case):
     op = EdgeOp(gather=gather, reduce=reduce, apply=apply, identity=identity)
     boundaries = chunk_boundaries(graph.in_degrees(), p)
     states = []
-    for build in (Engine, ENGINE_FACTORIES[backend_name]):
+    for build in (ReferenceEngine, ENGINE_FACTORIES[backend_name]):
         trace = WorkTrace(algorithm="f32", graph_name="f32", num_partitions=p)
         eng = build(graph, boundaries, trace)
         st_ = {"vals": values.copy(), "seen": np.zeros(n)}

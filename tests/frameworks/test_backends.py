@@ -18,13 +18,15 @@ from repro.frameworks.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.frameworks.engine import EdgeOp, Engine
+from repro.frameworks.engine import EdgeOp
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.parallel import WORKERS_ENV_VAR, ParallelEngine
 from repro.frameworks.trace import WorkTrace
 from repro.frameworks.vectorized import VectorizedEngine
 from repro.graph import generators as gen
 from repro.partition.algorithm1 import chunk_boundaries
+
+from oracles import ReferenceEngine
 
 
 @pytest.fixture()
@@ -33,11 +35,11 @@ def graph():
 
 
 class TestSelection:
-    def test_default_is_reference(self, monkeypatch):
+    def test_default_is_vectorized(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert DEFAULT_BACKEND == "reference"
-        assert resolve_backend() == "reference"
-        assert get_backend() is Engine
+        assert DEFAULT_BACKEND == "vectorized"
+        assert resolve_backend() == "vectorized"
+        assert get_backend() is VectorizedEngine
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
@@ -48,8 +50,8 @@ class TestSelection:
         assert get_backend() is ParallelEngine
 
     def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
-        assert resolve_backend("reference") == "reference"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "parallel")
+        assert resolve_backend("vectorized") == "vectorized"
 
     def test_empty_env_falls_back_to_default(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "")
@@ -68,7 +70,7 @@ class TestSelection:
 
     def test_register_duplicate_raises(self):
         with pytest.raises(SimulationError, match="already registered"):
-            register_backend("reference", Engine)
+            register_backend("vectorized", VectorizedEngine)
 
     def test_all_backends_satisfy_protocol(self, graph):
         boundaries = chunk_boundaries(graph.in_degrees(), 4)
@@ -76,28 +78,28 @@ class TestSelection:
             trace = WorkTrace(algorithm="x", graph_name="g", num_partitions=4)
             eng = make_engine_backend(graph, boundaries, trace, backend=name)
             assert isinstance(eng, EngineBackend)
-            assert isinstance(eng, Engine)  # fast backends subclass the oracle
+        assert issubclass(ParallelEngine, VectorizedEngine)
 
     def test_make_engine_threads_backend(self, graph, monkeypatch):
         assert isinstance(
             make_engine(graph, 4, "PR", backend="vectorized"), VectorizedEngine
         )
-        assert type(make_engine(graph, 4, "PR", backend="reference")) is Engine
+        assert type(make_engine(graph, 4, "PR", backend="reference")) is ReferenceEngine
         monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
         assert isinstance(make_engine(graph, 4, "PR"), VectorizedEngine)
         monkeypatch.setenv(BACKEND_ENV_VAR, "parallel")
         assert isinstance(make_engine(graph, 4, "PR"), ParallelEngine)
 
     def test_registry_construction_reads_worker_env(self, graph, monkeypatch):
-        """The uniform (graph, boundaries, trace, exact_sources) construction
-        path must still pick up REPRO_PARALLEL_WORKERS."""
+        """The uniform (graph, boundaries, trace) construction path must
+        still pick up REPRO_PARALLEL_WORKERS."""
         monkeypatch.setenv(WORKERS_ENV_VAR, "5")
         eng = make_engine(graph, 4, "PR", backend="parallel")
         assert eng._workers == 5
 
 
 class TestReduceDtypeContract:
-    """`Engine._reduce_at` must reduce in the accumulator's dtype.
+    """`VectorizedEngine._reduce_at` must reduce in the accumulator's dtype.
 
     ``np.ufunc.at`` silently upcasts float32 values element-by-element;
     segment kernels would otherwise reduce whole float32 segments at
@@ -112,24 +114,28 @@ class TestReduceDtypeContract:
 
     def test_add_accumulates_in_float64(self):
         acc = np.zeros(4, dtype=np.float64)
-        Engine._reduce_at("add", acc, np.array([2, 2, 2]), self.VALS32)
+        VectorizedEngine._reduce_at("add", acc, np.array([2, 2, 2]), self.VALS32)
         expected = np.float64(1.0) + np.float64(np.float32(2**-30)) * 2
         assert acc[2] == expected
         assert acc[2] != np.float64(np.float32(1.0))  # bits were not lost
 
     def test_min_and_or_cast_explicitly(self):
         acc = np.full(3, np.inf)
-        Engine._reduce_at("min", acc, np.array([1, 1]), np.array([3.0, 2.0], dtype=np.float32))
+        VectorizedEngine._reduce_at(
+            "min", acc, np.array([1, 1]), np.array([3.0, 2.0], dtype=np.float32)
+        )
         assert acc[1] == 2.0 and acc.dtype == np.float64
         acc = np.full(3, -np.inf)
-        Engine._reduce_at("or", acc, np.array([0, 0]), np.array([0.0, 1.0], dtype=np.float32))
+        VectorizedEngine._reduce_at(
+            "or", acc, np.array([0, 0]), np.array([0.0, 1.0], dtype=np.float32)
+        )
         assert acc[0] == 1.0 and acc.dtype == np.float64
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized", "parallel"])
     def test_float32_gather_edgemap_matches_float64_math(self, graph, backend):
         """End to end: a float32 gather produces the float64-accumulated
-        sums on both backends (previously uncovered: the silent upcast was
-        an accident of ufunc.at, not a tested contract)."""
+        sums on every backend and on the oracle (previously uncovered: the
+        silent upcast was an accident of ufunc.at, not a tested contract)."""
         n = graph.num_vertices
         base = np.full(n, np.float32(2**-30), dtype=np.float32)
 

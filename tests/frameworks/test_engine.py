@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.frameworks.engine import EdgeOp, Engine, gather_rows
+from repro.frameworks.engine import EdgeOp, gather_rows
 from repro.frameworks.frontier import DensityClass, Frontier
 from repro.frameworks.trace import WorkTrace
+from repro.frameworks.vectorized import VectorizedEngine
 from repro.graph import generators as gen
 from repro.partition.algorithm1 import chunk_boundaries
 
+from oracles import ReferenceEngine
+
 
 def make_engine(graph, p=4, exact=False):
+    """The shipped engine, or with ``exact=True`` the oracle engine
+    counting distinct sources exactly."""
     b = chunk_boundaries(graph.in_degrees(), p)
     trace = WorkTrace(algorithm="test", graph_name=graph.name, num_partitions=p)
-    return Engine(graph, b, trace, exact_sources=exact)
+    if exact:
+        return ReferenceEngine(graph, b, trace, exact_sources=True)
+    return VectorizedEngine(graph, b, trace)
 
 
 def sum_op(target_key="acc"):

@@ -1,7 +1,7 @@
 """Determinism suite for the ``parallel`` backend.
 
-The conformance suite proves the parallel backend matches the reference
-oracle; this suite pins the stronger operational property the backend
+The conformance suite proves the parallel backend matches the oracle
+engine; this suite pins the stronger operational property the backend
 advertises: **the worker count is not observable**.  Running the same
 step sequence with 1, 2, 4 or 8 chunk workers — or running it twenty
 times in a row at the same worker count — must produce *byte-identical*
@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import ALGORITHMS
 from repro.errors import SimulationError
-from repro.frameworks.engine import EdgeOp, Engine
+from repro.frameworks.engine import EdgeOp
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.parallel import (
     MIN_WORK_ENV_VAR,
@@ -44,6 +44,8 @@ from repro.frameworks.trace import WorkTrace, record_fingerprint, traces_equal
 from repro.graph import generators as gen
 from repro.graph.csr import Graph
 from repro.partition.algorithm1 import chunk_boundaries
+
+from oracles import ReferenceEngine
 
 WORKER_COUNTS = [1, 2, 4, 8]
 
@@ -170,7 +172,9 @@ def test_worker_count_is_unobservable(case):
     byte-identical state, frontiers and trace accounting."""
     graph, p, reduce, identity, direction, values = case
     digests = [
-        _run_dense_edgemap(Engine, graph, p, reduce, identity, values, direction)
+        _run_dense_edgemap(
+            ReferenceEngine, graph, p, reduce, identity, values, direction
+        )
     ]
     for w in WORKER_COUNTS:
         digests.append(
@@ -302,7 +306,7 @@ def test_chunk_timings_meta_channel(unit_graph):
     # meta is measurement, not accounting: a sequential run whose records
     # match is still an equal trace.
     ref_trace = WorkTrace(algorithm="unit", graph_name=unit_graph.name, num_partitions=16)
-    ref = Engine(unit_graph, eng.boundaries, ref_trace)
+    ref = ReferenceEngine(unit_graph, eng.boundaries, ref_trace)
     state2 = {"x": np.ones(n)}
     ref.edgemap(Frontier.all_vertices(n), op, state2, direction="pull")
     ref.vertexmap(Frontier.all_vertices(n), lambda ids, st_: None, state2)

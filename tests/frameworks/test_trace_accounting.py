@@ -5,10 +5,11 @@ recorded per-partition counters must obey hard invariants against the
 static partition statistics (:func:`repro.partition.stats.compute_stats`):
 
 * every edgemap's ``part_edges`` sums to its ``active_edges``;
-* both the exact per-partition distinct-source counts
-  (``exact_sources=True``) and the default scaled approximation lie in
-  the same sandwich — at least 1 wherever the partition saw an edge, at
-  most ``min(part_edges, static unique sources)``;
+* both the exact per-partition distinct-source counts (the oracle
+  engine's ``exact_sources=True``) and the shipped engine's scaled
+  approximation lie in the same sandwich — at least 1 wherever the
+  partition saw an edge, at most ``min(part_edges, static unique
+  sources)``;
 * a full dense step (every vertex active, pull) reproduces the static
   Figure 1 counters *exactly*, for edges, unique destinations and unique
   sources, under both accounting modes.
@@ -17,19 +18,26 @@ static partition statistics (:func:`repro.partition.stats.compute_stats`):
 import numpy as np
 import pytest
 
-from repro.frameworks.engine import EdgeOp, Engine
+from repro.frameworks.engine import EdgeOp
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.trace import WorkTrace
+from repro.frameworks.vectorized import VectorizedEngine
 from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
+
+from oracles import ReferenceEngine
 
 P = 6
 
 
 def make_engine(graph, exact):
+    """The shipped engine, or with ``exact=True`` the oracle engine
+    counting distinct sources exactly."""
     boundaries = chunk_boundaries(graph.in_degrees(), P)
     trace = WorkTrace(algorithm="acct", graph_name=graph.name, num_partitions=P)
-    return Engine(graph, boundaries, trace, exact_sources=exact)
+    if exact:
+        return ReferenceEngine(graph, boundaries, trace, exact_sources=True)
+    return VectorizedEngine(graph, boundaries, trace)
 
 
 def relax_op():
@@ -115,8 +123,9 @@ class TestSourceAccounting:
                 assert np.all(rec.part_srcs <= cap)
 
     def test_records_align_between_modes(self, traced):
-        """exact_sources changes only part_srcs, never the computation:
-        both traces record the same steps with the same edge counts."""
+        """Exact source counting changes only part_srcs, never the
+        computation: both traces record the same steps with the same edge
+        counts."""
         exact, approx, _ = traced
         ex, ap = edgemaps(exact), edgemaps(approx)
         assert len(ex) == len(ap)

@@ -15,11 +15,14 @@ level — and ``min``/``or`` are order-independent by construction.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.frameworks.engine import EdgeOp, Engine, gather_rows
+from repro.frameworks.engine import EdgeOp, gather_rows
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.trace import WorkTrace
+from repro.frameworks.vectorized import VectorizedEngine
 from repro.graph.csr import Graph
 from repro.partition.algorithm1 import chunk_boundaries
+
+from oracles import ReferenceEngine
 
 
 @st.composite
@@ -37,9 +40,13 @@ def graph_and_frontier(draw):
 
 
 def make_engine(graph, p, exact=False):
+    """The shipped engine, or with ``exact=True`` the oracle engine
+    counting distinct sources exactly."""
     boundaries = chunk_boundaries(graph.in_degrees(), p)
     trace = WorkTrace(algorithm="prop", graph_name=graph.name, num_partitions=p)
-    return Engine(graph, boundaries, trace, exact_sources=exact)
+    if exact:
+        return ReferenceEngine(graph, boundaries, trace, exact_sources=True)
+    return VectorizedEngine(graph, boundaries, trace)
 
 
 def add_op():
@@ -119,7 +126,8 @@ def test_push_pull_bit_identical_state_and_frontier(gf, reduction):
 @given(graph_and_frontier(), st.sampled_from(sorted(OPS)))
 @settings(max_examples=60, deadline=None)
 def test_push_pull_identical_with_exact_source_accounting(gf, reduction):
-    """exact_sources changes only the trace, never results."""
+    """Exact source counting (on the oracle engine) changes only the
+    trace, never results: the shipped engine computes the same state."""
     graph, frontier, p, rng = gf
     base = initial_state(graph, rng)
     states = []
