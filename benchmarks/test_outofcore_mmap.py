@@ -47,9 +47,10 @@ LOADS = 4
 MMAP_PEAK_RATIO = 1.5
 EAGER_PEAK_MIN_RATIO = 2.5
 
-#: Pinned budget for the streaming shard-by-shard build: final arrays
-#: plus one in-place sort key, with headroom for allocator high-water
-#: effects.  The eager path measures ~2.7x on the same workload.
+#: Pinned budget for the streaming shard-by-shard build: the final
+#: arrays (filled with pair keys, sorted and reduced in place) plus one
+#: shard, with headroom for allocator high-water effects.  The eager
+#: path measures ~2.3x on the same workload.
 BUILD_PEAK_RATIO = 2.1
 
 #: Warm full-scan latency on resident pages: mmap within 20% of eager.

@@ -387,7 +387,7 @@ def _execute_inner(
 
         save_trace(
             key, result.trace, result.iterations, cache=trace_store,
-            labels={"ordering": prepared.ordering},
+            labels={"ordering": prepared.ordering}, refresh=refresh,
         )
         # Drain the trace's measurement side channel into the persistent
         # measurement store NOW, at record time: the trace bundle

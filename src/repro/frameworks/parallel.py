@@ -111,7 +111,7 @@ from repro.errors import SimulationError
 from repro.frameworks.engine import EdgeOp
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.trace import WorkTrace
-from repro.frameworks.vectorized import VectorizedEngine, _is_positive_zero
+from repro.frameworks.vectorized import VectorizedEngine, _is_positive_zero, _segment_reduce
 from repro.graph.csr import INDEX_DTYPE, Graph
 
 __all__ = [
@@ -178,6 +178,7 @@ def resolve_min_work(min_work: int | None = None) -> int:
 # the process lifetime.  Per-engine pools would pay thread start-up on
 # every algorithm run; per-count pools keep dispatch at queue-put cost
 # and sidestep any grow/shrink races between concurrently live engines.
+# A forked child (a sweep worker) starts with none.
 # ----------------------------------------------------------------------
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
@@ -217,6 +218,18 @@ def shutdown_pools(wait: bool = True) -> None:
 
 
 atexit.register(shutdown_pools)
+
+
+def _forget_pools_in_child() -> None:
+    """A forked child inherits the pool objects but none of their threads
+    (and maybe a held lock), so a dense step would queue work no thread
+    ever runs.  Start the child with no pools; it creates its own."""
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pools_in_child)
 
 
 class ParallelEngine(VectorizedEngine):
@@ -390,9 +403,9 @@ class ParallelEngine(VectorizedEngine):
                     )
                     reduced[ts:te] = acc[touched[ts:te] - lo]
                 elif use_min:
-                    reduced[ts:te] = np.minimum.reduceat(vals, full_starts[ts:te] - s)
+                    reduced[ts:te] = _segment_reduce(np.minimum, vals, full_starts[ts:te] - s)
                 elif use_or:
-                    reduced[ts:te] = np.maximum.reduceat(vals, full_starts[ts:te] - s)
+                    reduced[ts:te] = _segment_reduce(np.maximum, vals, full_starts[ts:te] - s)
                 else:
                     acc = np.full(hi - lo, op.identity, dtype=np.float64)
                     self._reduce_at(op.reduce, acc, band_dsts - lo, vals)

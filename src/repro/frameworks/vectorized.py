@@ -20,7 +20,9 @@ Where the time goes, and what this engine does about it:
   ``np.add.reduceat`` is **not**: it sums segments pairwise and drifts in
   the last ulp) — and ``min``/``or`` reductions run through
   ``np.minimum.reduceat`` / ``np.maximum.reduceat`` over destination
-  segments, which is exact for order-insensitive reductions.
+  segments, which is exact for order-insensitive reductions once a zero
+  result takes the bits of its segment's last zero (the one tie whose
+  bits differ, ``+0.0`` against ``-0.0``).
 * **Dense streams.**  A fully dense frontier touches every edge, so the
   active-edge streams are the graph's own CSC (pull) or CSR (push)
   streams.  The engine skips the boolean-mask compression entirely and
@@ -90,6 +92,22 @@ __all__ = ["VectorizedEngine"]
 
 def _is_positive_zero(x: float) -> bool:
     return x == 0.0 and not np.signbit(x)
+
+
+def _segment_reduce(ufunc, vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``ufunc.reduceat`` (``np.minimum``/``np.maximum``, non-empty
+    segments) with the oracle's tie rule: ``ufunc.at`` keeps the later of
+    two equal values, but numpy's vectorized reduce breaks a ``+0.0`` /
+    ``-0.0`` tie in lane order on segments of nine or more values.  Zero
+    is the only tie whose bits differ, so a zero result takes the bits of
+    its segment's last zero."""
+    reduced = ufunc.reduceat(vals, starts)
+    zero_segments = np.flatnonzero(reduced == 0)
+    if zero_segments.size:
+        zeros = np.flatnonzero(vals == 0)
+        ends = np.append(starts[1:], vals.size)[zero_segments]
+        reduced[zero_segments] = vals[zeros[np.searchsorted(zeros, ends) - 1]]
+    return reduced
 
 
 class _SharedLayout:
@@ -541,10 +559,10 @@ class VectorizedEngine:
             reduced = acc[touched]
         elif op.reduce == "min" and op.identity == np.inf:
             grouped = vals if direction == "pull" else vals[shared.push_perm]
-            reduced = np.minimum.reduceat(grouped, shared.full_starts)
+            reduced = _segment_reduce(np.minimum, grouped, shared.full_starts)
         elif op.reduce == "or" and op.identity == -np.inf:
             grouped = vals if direction == "pull" else vals[shared.push_perm]
-            reduced = np.maximum.reduceat(grouped, shared.full_starts)
+            reduced = _segment_reduce(np.maximum, grouped, shared.full_starts)
         else:
             acc = np.full(n, op.identity, dtype=np.float64)
             self._reduce_at(op.reduce, acc, dsts, vals)
@@ -584,9 +602,9 @@ class VectorizedEngine:
             acc = np.bincount(dsts, weights=vals, minlength=graph.num_vertices)
             reduced = acc[touched]
         elif op.reduce == "min" and op.identity == np.inf:
-            reduced = np.minimum.reduceat(vals, starts)
+            reduced = _segment_reduce(np.minimum, vals, starts)
         elif op.reduce == "or" and op.identity == -np.inf:
-            reduced = np.maximum.reduceat(vals, starts)
+            reduced = _segment_reduce(np.maximum, vals, starts)
         else:
             acc = np.full(graph.num_vertices, op.identity, dtype=np.float64)
             self._reduce_at(op.reduce, acc, dsts, vals)

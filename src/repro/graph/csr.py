@@ -38,9 +38,13 @@ import numpy as np
 
 from repro.errors import InvalidGraphError
 
-__all__ = ["CSRMatrix", "Graph"]
+__all__ = ["CSRMatrix", "Graph", "pair_keys", "MAX_VERTICES"]
 
 INDEX_DTYPE = np.int64
+
+#: Largest vertex count whose pair keys ``group * n + member`` stay below
+#: 2**63 (``n * n <= 2**63``): about 22x the 2**27 vertices of RMAT27.
+MAX_VERTICES = 3_037_000_499
 
 
 def _as_index_array(a, name: str) -> np.ndarray:
@@ -50,6 +54,31 @@ def _as_index_array(a, name: str) -> np.ndarray:
     if not np.issubdtype(arr.dtype, np.integer):
         raise InvalidGraphError(f"{name} must be an integer array, got dtype {arr.dtype}")
     return np.ascontiguousarray(arr, dtype=INDEX_DTYPE)
+
+
+def _check_num_vertices(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise InvalidGraphError(
+            f"{n} vertices exceed the {MAX_VERTICES} whose (group, member) "
+            "sort keys fit in int64"
+        )
+
+
+def pair_keys(group, member, base: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Encode ``(group, member)`` pairs as int64 keys ``group * base + member``.
+
+    The one canonical order of every CSR/CSC view and of
+    :func:`repro.partition.stats.compute_stats`: with ``group`` and
+    ``member`` in ``[0, base)``, keys are equal exactly when pairs are,
+    and sorted keys are the ``lexsort`` order (group, then member);
+    ``keys // base`` and ``keys % base`` read them back.  ``out`` (an
+    int64 slice) lets a streaming build encode chunk by chunk.  Raises
+    :class:`InvalidGraphError` when ``base`` exceeds :data:`MAX_VERTICES`.
+    """
+    _check_num_vertices(base)
+    keys = np.multiply(group, base, out=out, dtype=INDEX_DTYPE)
+    keys += member
+    return keys
 
 
 @dataclass(frozen=True)
@@ -171,12 +200,20 @@ class CSRMatrix:
             raise InvalidGraphError("index endpoint out of range")
         if other.size and (other.min() < 0 or other.max() >= num_vertices):
             raise InvalidGraphError("other endpoint out of range")
-        counts = np.bincount(index_by, minlength=num_vertices).astype(INDEX_DTYPE)
-        offsets = np.zeros(num_vertices + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=offsets[1:])
-        # Sort lexicographically by (index_by, other) to canonicalize.
-        order = np.lexsort((other, index_by))
-        return CSRMatrix(offsets=offsets, adj=other[order])
+        return CSRMatrix.from_keys(pair_keys(index_by, other, num_vertices), num_vertices)
+
+    @staticmethod
+    def from_keys(keys: np.ndarray, num_vertices: int) -> "CSRMatrix":
+        """Build the canonical view of unsorted :func:`pair_keys` (base
+        ``num_vertices``), consuming ``keys``: one in-place sort, offsets
+        from the group starts, and an in-place remainder to the adjacency.
+        Only O(n) more is allocated, after the :data:`MAX_VERTICES` check.
+        """
+        _check_num_vertices(num_vertices)
+        keys.sort()
+        group_starts = np.arange(num_vertices + 1, dtype=INDEX_DTYPE) * num_vertices
+        offsets = np.searchsorted(keys, group_starts)
+        return CSRMatrix(offsets=offsets, adj=np.remainder(keys, num_vertices, out=keys))
 
     def to_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Expand back to ``(indexing_endpoint, other_endpoint)`` arrays."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PartitionError
+from repro.graph.csr import pair_keys
 
 __all__ = ["PartitionStats", "ImbalanceSummary", "compute_stats", "summarize"]
 
@@ -92,8 +93,8 @@ def compute_stats(graph, boundaries: np.ndarray) -> PartitionStats:
     """Compute the Figure 1 counters for contiguous destination chunks.
 
     ``boundaries`` is ``int64[P + 1]``.  Vectorized: unique-source counts
-    come from one sort of the per-partition edge lists rather than per-edge
-    Python loops.
+    come from one in-place sort of every edge's (partition, source)
+    :func:`~repro.graph.csr.pair_keys` rather than per-edge Python loops.
     """
     boundaries = np.asarray(boundaries, dtype=np.int64)
     if boundaries.ndim != 1 or boundaries.size < 2:
@@ -112,27 +113,21 @@ def compute_stats(graph, boundaries: np.ndarray) -> PartitionStats:
     nz = np.concatenate([[0], np.cumsum((in_degs > 0).astype(np.int64))])
     unique_destinations = nz[boundaries[1:]] - nz[boundaries[:-1]]
 
-    # Unique sources per chunk: sort each chunk's source list and count
-    # distinct entries.  All chunks are processed in one pass by tagging
-    # every edge with its partition id and lexsorting.
+    # Unique sources per chunk: tag every edge with the partition of its
+    # destination, sort the (partition, source) keys once, and count the
+    # first key of every run of equal keys.
     edge_part = np.searchsorted(boundaries[1:], np.arange(graph.num_vertices), side="right")
-    # edge i's partition = partition of its destination vertex.
-    dst_ids = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), in_degs)
-    parts = edge_part[dst_ids]
-    srcs = csc.adj
-    if srcs.size:
-        order = np.lexsort((srcs, parts))
-        sp, ss = parts[order], srcs[order]
-        new_pair = np.empty(sp.size, dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (sp[1:] != sp[:-1]) | (ss[1:] != ss[:-1])
-        unique_sources = np.bincount(sp[new_pair], minlength=p).astype(np.int64)
-    else:
-        unique_sources = np.zeros(p, dtype=np.int64)
+    parts = np.repeat(edge_part, in_degs)
+    base = max(graph.num_vertices, p)  # above every partition id and source
+    keys = pair_keys(parts, csc.adj, base)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    unique_sources = np.bincount(keys[first] // base, minlength=p)
 
     return PartitionStats(
         edges=edges.astype(np.int64),
         vertices=vertices.astype(np.int64),
         unique_destinations=unique_destinations.astype(np.int64),
-        unique_sources=unique_sources,
+        unique_sources=unique_sources.astype(np.int64),
     )

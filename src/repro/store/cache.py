@@ -228,8 +228,9 @@ class ArtifactCache:
         crashed process, foreign file at the right path), or whose arrays
         ``unpack`` rejects with :class:`CacheError` (a corrupt member, an
         older layout), is treated as a miss and removed, so a corrupt
-        entry can never wedge the cache: :meth:`store` keeps any incumbent
-        bundle, so one left in place would miss on every later load.
+        entry can never wedge the cache: outside a refresh, :meth:`store`
+        keeps any incumbent bundle, so one left in place would miss on
+        every later load.
         """
         path = self.path_for(kind, key)
         if not path.is_dir():
@@ -291,12 +292,17 @@ class ArtifactCache:
         if rss:
             obs.metrics().gauge("process.rss_bytes", rss)
 
-    def store(self, kind: str, key: str, arrays: dict[str, np.ndarray]) -> Path:
+    def store(
+        self, kind: str, key: str, arrays: dict[str, np.ndarray], refresh: bool = False
+    ) -> Path:
         """Atomically persist a v2 bundle (write-to-temp-dir, then rename).
 
         Sidecar files are named positionally (``a0000.npy``...) and mapped
         back to array names by the manifest, so array names may contain
         characters that are unsafe in filenames (``meta.<key>``, ...).
+        An incumbent bundle under the key is kept, unless ``refresh`` is
+        set: a refresh rebuilds because the incumbent is suspect, so the
+        new bundle swaps it out.
         """
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -317,18 +323,19 @@ class ArtifactCache:
             (tmp / MANIFEST_NAME).write_text(
                 json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
             )
-            # Replace-first: an existing bundle is never removed while
-            # other processes may be reading it.  Keys are content
-            # digests, so a concurrent writer's bundle is equivalent.
+            # Replace-first: outside a refresh, an existing bundle is
+            # never removed while other processes may be reading it.  Keys
+            # are content digests, so a concurrent writer's bundle is
+            # equivalent.
             try:
                 os.replace(tmp, path)
             except OSError:
-                if (path / MANIFEST_NAME).is_file():
+                if not refresh and (path / MANIFEST_NAME).is_file():
                     # Lost the race to an equivalent writer: keep theirs.
                     shutil.rmtree(tmp, ignore_errors=True)
                 else:
-                    # A corrupt or foreign directory squats on the key;
-                    # evict it and take one more swing.
+                    # A refresh, or a corrupt or foreign directory squatting
+                    # on the key: evict the incumbent and take one more swing.
                     shutil.rmtree(path, ignore_errors=True)
                     os.replace(tmp, path)
         except OSError as exc:
@@ -351,13 +358,14 @@ class ArtifactCache:
     ) -> tuple[object, bool]:
         """Return ``(arrays, hit)`` — ``(unpack(arrays), hit)`` when
         ``unpack`` is given; on a miss (or a bundle ``unpack`` rejects,
-        see :meth:`load`) run ``build`` and persist."""
+        see :meth:`load`) run ``build`` and persist.  ``refresh=True``
+        builds without looking and replaces the stored bundle."""
         if not refresh:
             cached = self.load(kind, key, unpack=unpack)
             if cached is not None:
                 return cached, True
         arrays = build()
-        self.store(kind, key, arrays)
+        self.store(kind, key, arrays, refresh)
         return (arrays if unpack is None else unpack(arrays)), False
 
     # ------------------------------------------------------------------

@@ -20,11 +20,14 @@ Out-of-core construction
 ------------------------
 :func:`build_graph_from_chunks` is the scale tier on top of the chunk
 primitive: a **two-pass** CSR+CSC builder that never materializes the full
-``(src, dst)`` edge list.  Pass 1 streams the chunks once to count degrees
-(O(n) state); pass 2 streams them again to scatter adjacency entries
-directly into their final arrays.  The output is bit-identical to
-``Graph.from_edges`` over the concatenated chunks — same canonical
-within-group ordering — which is what lets the sharded dataset specs
+``(src, dst)`` edge list.  Pass 1 streams the chunks once to count and
+check the edges (O(1) state); pass 2 streams them again and writes each
+edge's CSR and CSC :func:`~repro.graph.csr.pair_keys` straight into the
+two output arrays, which :meth:`~repro.graph.csr.CSRMatrix.from_keys`
+then sorts and reduces to the adjacency in place.
+The output is bit-identical to ``Graph.from_edges`` over the
+concatenated chunks — the same one pair order — which is what lets the
+sharded dataset specs
 (:func:`repro.store.registry.register_sharded_dataset` and the synthetic
 ``powerlaw-ooc`` spec) build graphs whose edge lists never fit in memory
 at once.  :func:`build_graph_from_shard_files` chains the chunk reader
@@ -41,7 +44,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import GraphFormatError, InvalidGraphError
-from repro.graph.csr import CSRMatrix, INDEX_DTYPE, Graph
+from repro.graph.csr import CSRMatrix, INDEX_DTYPE, Graph, pair_keys
 
 __all__ = [
     "iter_edge_chunks",
@@ -140,24 +143,16 @@ def read_edge_list_chunked(
     num_vertices: int | None = None,
     name: str | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
-    streaming: bool = False,
 ) -> Graph:
     """Build a :class:`Graph` from an edge-list file, one chunk at a time.
 
-    The node count is taken from a ``# Nodes: <n>`` comment when present,
-    else from ``num_vertices``, else inferred from the largest endpoint.
-
-    ``streaming=True`` switches to the two-pass out-of-core builder
-    (:func:`build_graph_from_chunks`): the file is read twice but the full
-    edge list is never held in memory.  Both paths produce bit-identical
-    graphs.
+    The node count is taken from ``num_vertices``, else from a
+    ``# Nodes: <n>`` comment, else inferred from the largest endpoint.
+    The parsed chunks are concatenated into one ``(src, dst)`` copy for
+    :meth:`Graph.from_edges`; :func:`build_graph_from_shard_files` reads
+    the file twice instead and never holds that copy, with a
+    bit-identical result.
     """
-    if streaming:
-        return build_graph_from_chunks(
-            lambda: iter_edge_chunks(path, chunk_lines=chunk_lines),
-            num_vertices=num_vertices,
-            name=name or Path(path).stem,
-        )
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
     n_hint = num_vertices
@@ -179,62 +174,6 @@ def read_edge_list_chunked(
 # Two-pass out-of-core CSR/CSC construction
 # ----------------------------------------------------------------------
 
-def _grow_counts(counts: np.ndarray, size: int) -> np.ndarray:
-    if size <= counts.size:
-        return counts
-    grown = np.zeros(size, dtype=INDEX_DTYPE)
-    grown[: counts.size] = counts
-    return grown
-
-
-def _fill_grouped(
-    adj: np.ndarray, cursors: np.ndarray, index_by: np.ndarray, other: np.ndarray
-) -> None:
-    """Scatter one chunk's ``other`` entries into ``adj``, grouped by
-    ``index_by``, advancing per-group ``cursors``.  Vectorized: the chunk
-    is stable-sorted by group, within-run ranks offset each entry past the
-    group's cursor, and the cursors advance by the run lengths."""
-    order = np.argsort(index_by, kind="stable")
-    keys = index_by[order]
-    vals = other[order]
-    # Run-length encode the sorted keys.
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    lengths = np.diff(np.r_[starts, keys.size])
-    rank = np.arange(keys.size, dtype=INDEX_DTYPE) - np.repeat(starts, lengths)
-    adj[cursors[keys] + rank] = vals
-    cursors[keys[starts]] += lengths
-
-
-def _canonicalize_groups(offsets: np.ndarray, holder: list) -> np.ndarray:
-    """Sort the adjacency ascending within each offsets-delimited group —
-    the same canonical form :meth:`CSRMatrix.from_pairs` produces.
-
-    ``holder`` is a single-element list whose array is **consumed**
-    (popped, and freed as soon as its values are folded into the sort
-    key); the caller must drop its own reference first.  The sort runs on
-    a composite key ``group_id * n + adj`` built, sorted and reduced back
-    **in place**, so at no point do more than the key array and the
-    not-yet-canonicalized other view coexist — that is what holds the
-    whole streaming build near 1.5x the final graph footprint (the
-    out-of-core contract the RSS benchmark pins).  ``lexsort`` would cost
-    several extra full-array allocations.
-    """
-    adj = holder.pop()
-    n = offsets.size - 1
-    if adj.size == 0:
-        return adj
-    if n > (2**63 - 1) // n:  # composite key would overflow int64
-        group_ids = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(offsets))
-        return adj[np.lexsort((adj, group_ids))]
-    combined = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(offsets))
-    combined *= n
-    combined += adj
-    del adj
-    combined.sort()
-    np.remainder(combined, n, out=combined)
-    return combined
-
-
 def build_graph_from_chunks(
     make_chunks: Callable[[], Iterable[tuple[np.ndarray, np.ndarray, int | None]]],
     num_vertices: int | None = None,
@@ -246,10 +185,15 @@ def build_graph_from_chunks(
     ``make_chunks`` is a zero-argument callable returning a *fresh*
     iterator of ``(src, dst, nodes_hint)`` chunks (the
     :func:`iter_edge_chunks` shape) — it is called twice, so the stream
-    must be deterministic: pass 1 counts degrees, pass 2 scatters the
-    adjacency entries into their final arrays.  Peak memory is the output
-    arrays plus one chunk, versus the concatenate-everything path's full
-    ``(src, dst)`` copy.
+    must be deterministic: pass 1 counts and checks the edges, pass 2
+    writes each chunk's CSR and CSC pair keys into the two output arrays,
+    each then sorted and reduced to the adjacency in place.  Peak memory
+    is the output arrays plus one chunk, versus the
+    concatenate-everything path's full ``(src, dst)`` copy.  More than
+    :data:`~repro.graph.csr.MAX_VERTICES` vertices raise
+    :class:`InvalidGraphError` before any O(n) allocation, and so does a
+    second pass whose edges differ from the first pass's in number or
+    range.
 
     The result is **bit-identical** to ``Graph.from_edges`` over the
     concatenated chunks: identical offsets, identical canonically-sorted
@@ -260,9 +204,8 @@ def build_graph_from_chunks(
 
 
 def _build_graph_from_chunks(make_chunks, num_vertices, name) -> Graph:
-    out_counts = np.zeros(0, dtype=INDEX_DTYPE)
-    in_counts = np.zeros(0, dtype=INDEX_DTYPE)
     n_hint = num_vertices
+    hi = 0
     total = 0
     for src, dst, hint in make_chunks():
         src = np.ascontiguousarray(src, dtype=INDEX_DTYPE)
@@ -275,56 +218,33 @@ def _build_graph_from_chunks(make_chunks, num_vertices, name) -> Graph:
             continue
         if src.min() < 0 or dst.min() < 0:
             raise InvalidGraphError("index endpoint out of range")
-        hi = int(max(src.max(), dst.max())) + 1
-        out_counts = _grow_counts(out_counts, hi)
-        in_counts = _grow_counts(in_counts, hi)
-        out_counts += np.bincount(src, minlength=out_counts.size).astype(INDEX_DTYPE)
-        in_counts += np.bincount(dst, minlength=in_counts.size).astype(INDEX_DTYPE)
+        hi = max(hi, int(src.max()) + 1, int(dst.max()) + 1)
         total += src.size
-    n = int(n_hint) if n_hint is not None else out_counts.size
-    if out_counts.size > n:
+    n = int(n_hint) if n_hint is not None else hi
+    if hi > n:
         raise InvalidGraphError("index endpoint out of range")
-    out_counts = _grow_counts(out_counts, n)
-    in_counts = _grow_counts(in_counts, n)
 
-    csr_offsets = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(out_counts, out=csr_offsets[1:])
-    csc_offsets = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(in_counts, out=csc_offsets[1:])
-    del out_counts, in_counts  # folded into the offsets; free before the adjs
-
-    csr_adj = np.empty(total, dtype=INDEX_DTYPE)
-    csc_adj = np.empty(total, dtype=INDEX_DTYPE)
-    csr_cursors = csr_offsets[:-1].copy()
-    csc_cursors = csc_offsets[:-1].copy()
+    # Pass 2: the two views' pair keys, each sorted into its view in place.
+    csr_keys = np.empty(total, dtype=INDEX_DTYPE)
+    csc_keys = np.empty(total, dtype=INDEX_DTYPE)
     filled = 0
     for src, dst, _hint in make_chunks():
         src = np.ascontiguousarray(src, dtype=INDEX_DTYPE)
         dst = np.ascontiguousarray(dst, dtype=INDEX_DTYPE)
         if src.size == 0:
             continue
-        filled += src.size
+        lo, filled = filled, filled + src.size
         if filled > total:
             break  # diagnosed below
-        _fill_grouped(csr_adj, csr_cursors, src, dst)
-        _fill_grouped(csc_adj, csc_cursors, dst, src)
+        pair_keys(src, dst, n, out=csr_keys[lo:filled])
+        pair_keys(dst, src, n, out=csc_keys[lo:filled])
     if filled != total:
         raise InvalidGraphError(
             f"chunk stream is not deterministic: pass 1 saw {total} edge(s), "
             f"pass 2 saw {'>' if filled > total else ''}{filled}"
         )
-    del csr_cursors, csc_cursors
-    holder = [csr_adj]
-    del csr_adj  # the holder owns the only reference; canonicalize consumes it
-    csr_adj = _canonicalize_groups(csr_offsets, holder)
-    holder = [csc_adj]
-    del csc_adj
-    csc_adj = _canonicalize_groups(csc_offsets, holder)
-    return Graph(
-        csr=CSRMatrix(offsets=csr_offsets, adj=csr_adj),
-        csc=CSRMatrix(offsets=csc_offsets, adj=csc_adj),
-        name=name,
-    )
+    csr = CSRMatrix.from_keys(csr_keys, n)
+    return Graph(csr=csr, csc=CSRMatrix.from_keys(csc_keys, n), name=name)
 
 
 def build_graph_from_shard_files(

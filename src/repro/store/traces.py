@@ -303,9 +303,11 @@ def save_trace(
     *,
     cache=None,
     labels: dict | None = None,
+    refresh: bool = False,
 ):
     """Persist one execution trace under ``key``; no-op when the cache is
-    disabled.  Returns the bundle path, or ``None`` when disabled."""
+    disabled.  Returns the bundle path, or ``None`` when disabled.
+    ``refresh=True`` replaces a stored bundle instead of keeping it."""
     from repro.store.cache import resolve_cache
 
     resolved = resolve_cache(cache)
@@ -313,7 +315,8 @@ def save_trace(
         return None
     with obs.span("trace.save", cat="store", key=key):
         return resolved.store(
-            "trace", key, pack_trace(trace, iterations, labels=labels)
+            "trace", key, pack_trace(trace, iterations, labels=labels),
+            refresh=refresh,
         )
 
 

@@ -24,6 +24,11 @@ than silently mangled.
 from __future__ import annotations
 
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,7 @@ from repro.frameworks.parallel import (
     resolve_workers,
 )
 from repro.frameworks.trace import WorkTrace, record_fingerprint, traces_equal
+from repro.frameworks.vectorized import VectorizedEngine
 from repro.graph import generators as gen
 from repro.graph.csr import Graph
 from repro.partition.algorithm1 import chunk_boundaries
@@ -183,6 +189,28 @@ def test_worker_count_is_unobservable(case):
                 graph, p, reduce, identity, values, direction,
             )
         )
+    assert len(set(digests)) == 1, digests
+
+
+@pytest.mark.parametrize("reduce,identity", [("min", np.inf), ("or", -np.inf)])
+@pytest.mark.parametrize("direction", ["push", "pull"])
+def test_signed_zero_tie_breaks_like_the_oracle(reduce, identity, direction):
+    """Regression: on a segment of nine or more values, numpy's vectorized
+    min/max reduce broke a ``+0.0``/``-0.0`` tie in lane order, while the
+    oracle's sequential fold keeps the later zero."""
+    n = 10
+    sources = np.arange(1, n)  # nine in-edges into vertex 0, ascending
+    graph = Graph.from_edges(sources, np.zeros_like(sources), n, name="det")
+    values = np.zeros(n)
+    values[n - 1] = -0.0  # the last of the nine zeros is negative
+    digests = [
+        _run_dense_edgemap(build, graph, 1, reduce, identity, values, direction)
+        for build in (
+            ReferenceEngine,
+            VectorizedEngine,
+            lambda g, b, t: ParallelEngine(g, b, t, workers=2, min_work=0),
+        )
+    ]
     assert len(set(digests)) == 1, digests
 
 
@@ -431,3 +459,46 @@ def test_shutdown_pools_is_recoverable(unit_graph):
     assert run_once() == before
     assert par._POOLS
     par.shutdown_pools()
+
+
+#: One parallel run populates the pool cache; the sweep then forks its
+#: workers, whose every dense step fans out (``REPRO_PARALLEL_MIN_WORK=0``).
+_FORKED_SWEEP = """
+from repro.experiments import run
+from repro.experiments.sweep import run_matrix
+from repro.graph import datasets
+
+run(datasets.load("twitter", scale=0.05), "PR", "ligra", backend="parallel")
+results = run_matrix(
+    ["twitter", "powerlaw"], ["PR", "BFS"], ["ligra"], ["original", "vebo"],
+    params={"scale": 0.05}, backend="parallel", jobs=2,
+)
+print("cells", len(results))
+"""
+
+
+def test_forked_sweep_workers_start_without_pools(tmp_path):
+    """Regression: forked sweep workers inherited the parent's pools but
+    not their threads, so the first fanned-out step waited forever."""
+    root = Path(__file__).resolve().parents[2]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(
+        PYTHONPATH=str(root / "src"),
+        REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        REPRO_PARALLEL_WORKERS="2",
+        REPRO_PARALLEL_MIN_WORK="0",
+    )
+    # Own session, so a hang's forked workers die with the script.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FORKED_SWEEP], env=env, cwd=tmp_path,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("forked sweep workers deadlocked on inherited pools")
+    assert proc.returncode == 0, err
+    assert "cells 8" in out

@@ -145,6 +145,22 @@ class TestCacheBehaviour:
         cache.get_or_build("graph", "a" * 40, build, refresh=True)
         assert len(calls) == 2
 
+    def test_refresh_replaces_a_corrupt_but_loadable_bundle(self, cache):
+        """A same-size flip still loads as a hit; a refresh must swap the
+        bundle out, not rebuild and then keep serving the flip."""
+        key = "c" * 40
+        cache.store("graph", key, {"x": np.arange(5)})
+        member = cache.path_for("graph", key) / "a0000.npy"
+        flipped = np.load(member)
+        flipped[2] = 99
+        np.save(member, flipped)
+        assert cache.load("graph", key)["x"].tolist() == [0, 1, 99, 3, 4]
+        arrays, hit = cache.get_or_build(
+            "graph", key, lambda: {"x": np.arange(5)}, refresh=True
+        )
+        assert not hit and arrays["x"].tolist() == [0, 1, 2, 3, 4]
+        assert cache.load("graph", key)["x"].tolist() == [0, 1, 2, 3, 4]
+
     def test_corrupt_manifest_is_a_miss_and_removed(self, cache):
         cache.store("graph", "b" * 40, {"x": np.arange(3)})
         path = cache.path_for("graph", "b" * 40)

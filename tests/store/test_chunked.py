@@ -117,12 +117,39 @@ class TestStreamingBuilder:
         with pytest.raises(InvalidGraphError, match="not deterministic"):
             build_graph_from_chunks(make_chunks, num_vertices=2)
 
-    def test_streaming_flag_matches_eager_reader(self, tmp_path):
+    @staticmethod
+    def _second_pass_differs(src, dst):
+        """A stream whose second pass yields ``(src, dst)`` instead of the
+        first pass's edges (0, 1) and (1, 2)."""
+        calls = []
+
+        def make_chunks():
+            calls.append(1)
+            edges = ([0, 1], [1, 2]) if len(calls) == 1 else (src, dst)
+            yield np.array(edges[0]), np.array(edges[1]), None
+
+        return make_chunks
+
+    def test_second_pass_edges_build_consistent_views(self):
+        g = build_graph_from_chunks(self._second_pass_differs([2, 2], [0, 0]), num_vertices=3)
+        eager = Graph.from_edges(np.array([2, 2]), np.array([0, 0]), 3)
+        assert g.csr == eager.csr
+        assert g.csc == eager.csc
+
+    @pytest.mark.parametrize("src,dst", [
+        ([0, 1], [1, 3]), ([0, 3], [1, 2]), ([0, 1], [-1, 2]), ([-1, 1], [1, 2]),
+    ])
+    def test_second_pass_out_of_range_rejected(self, src, dst):
+        with pytest.raises(InvalidGraphError):
+            build_graph_from_chunks(self._second_pass_differs(src, dst), num_vertices=3)
+
+    def test_one_shard_build_matches_eager_reader(self, tmp_path):
         g = gen.zipf_powerlaw_graph(200, s=1.1, max_degree=25, seed=6, name="g")
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
         eager = read_edge_list_chunked(path, chunk_lines=64)
-        streamed = read_edge_list_chunked(path, chunk_lines=64, streaming=True)
+        streamed = build_graph_from_shard_files([path], chunk_lines=64)
+        assert eager.name == streamed.name
         assert eager.csr == streamed.csr
         assert eager.csc == streamed.csc
 

@@ -439,6 +439,27 @@ class TestUnreadableBundleIsEvicted:
         assert self._replays(run, 3) == [False, True, True]
         assert traces_equal(run().trace, fresh.trace)
 
+    def test_refresh_replaces_a_loadable_wrong_trace(self, run, graph):
+        """``traces build --refresh``: a flipped count still unpacks, so
+        only the refresh can replace it, and later replays serve the
+        re-executed trace."""
+        from repro.experiments.runner import execute
+
+        fresh = run()
+        path = run.cache.path_for("trace", run.key)
+        manifest = json.loads((path / "manifest.json").read_text())
+        member = path / manifest["arrays"]["ints"]
+        ints = np.load(member)
+        ints[0, 4] += 99  # active_edges of the first unique record
+        np.save(member, ints)
+        assert not traces_equal(run().trace, fresh.trace)
+        refreshed = execute(graph, "BFS", "original", num_partitions=4,
+                            traces=run.cache, backend="vectorized", refresh=True)
+        assert not refreshed.replayed
+        replay = run()
+        assert replay.replayed
+        assert traces_equal(replay.trace, fresh.trace)
+
     def test_thirteen_member_bundle_upgrades_on_one_re_execution(self, run):
         fresh = run()
         run.cache.clean(kind="trace")
