@@ -42,8 +42,14 @@ def edge_weights(
         orig = np.asarray(orig_ids, dtype=np.int64)
         s = orig[s]
         d = orig[d]
-    h = (s * _HASH_A + d * _HASH_B) & np.int64(0x7FFFFFFF)
-    return (h % _WEIGHT_LEVELS + 1).astype(np.float64)
+    # The weight is ``((s*A + d*B) & 0x7FFFFFFF) % 32 + 1`` in wrapping
+    # int64 arithmetic.  The mask keeps the sign bit clear, so ``% 32``
+    # keeps exactly the low five bits: ``& 31`` is the same number.
+    h = s * _HASH_A
+    h += d * _HASH_B
+    h &= _WEIGHT_LEVELS - 1
+    h += 1
+    return h.astype(np.float64)
 
 
 @dataclass

@@ -38,7 +38,9 @@ def pagerank(
     }
 
     def gather(srcs, dsts, st):
-        return st["rank"][srcs] / safe_out[srcs]
+        # One quotient per vertex, then one gather: each edge gets the
+        # same IEEE quotient as dividing per edge.
+        return (st["rank"] / safe_out)[srcs]
 
     def apply(touched, reduced, st):
         st["next"][touched] = reduced

@@ -50,7 +50,9 @@ def pagerank_delta(
     }
 
     def gather(srcs, dsts, st):
-        return st["delta"][srcs] / safe_out[srcs]
+        # One quotient per vertex, then one gather: each edge gets the
+        # same IEEE quotient as dividing per edge.
+        return (st["delta"] / safe_out)[srcs]
 
     def apply(touched, reduced, st):
         st["acc"][touched] = reduced

@@ -76,20 +76,21 @@ def gather_rows(offsets: np.ndarray, adj: np.ndarray, rows: np.ndarray) -> tuple
 
     Returns ``(flat_positions, row_of_each)`` where ``adj[flat_positions]``
     are the concatenated neighbour lists and ``row_of_each`` repeats each
-    row id by its degree.  Fully vectorized (no per-row concatenate).
+    row id by its degree.  ``rows`` may be in any order and may repeat;
+    the lists come out in ``rows`` order.  Fully vectorized: output slot
+    ``k`` of row ``i`` holds ``k + (starts[i] - first_slot[i])``, so one
+    ``np.repeat`` of that per-row shift, added onto an ``arange``, gives
+    every position.
     """
     starts = offsets[rows]
     counts = offsets[rows + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=INDEX_DTYPE)
-    # positions = starts[i] + (0..counts[i]) for each row i, flattened.
-    row_rep = np.repeat(np.arange(rows.size, dtype=INDEX_DTYPE), counts)
-    cum = np.zeros(rows.size, dtype=INDEX_DTYPE)
-    np.cumsum(counts[:-1], out=cum[1:])
-    local = np.arange(total, dtype=INDEX_DTYPE) - cum[row_rep]
-    flat = starts[row_rep] + local
-    return flat, rows[row_rep]
+    first_slot = np.cumsum(counts) - counts
+    flat = np.arange(total, dtype=INDEX_DTYPE)
+    flat += np.repeat(starts - first_slot, counts)
+    return flat, np.repeat(rows, counts)
 
 
 @dataclass(frozen=True)

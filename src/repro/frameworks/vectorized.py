@@ -38,13 +38,31 @@ Where the time goes, and what this engine does about it:
   :func:`~repro.machine.locality.line_hit_fraction`, the dominant cost of
   dense iterative algorithms (PR, BP, SPMV) when every step is accounted
   from scratch.
+* **Dense-class push extraction.**  A partial push frontier in Table
+  II's dense class (PRD's frontier thins slowly, so most of its push
+  steps carry most of the edges) takes its destinations by compressing
+  the CSR adjacency with the sources' flags repeated by out-degree, and
+  its sources by repeating the ascending frontier ids: the row gather's
+  edges, in the row gather's order, at full-stream speed.  Medium and
+  sparse push frontiers gather rows
+  (:func:`~repro.frameworks.engine.gather_rows`).
+* **Step accounting from counts.**  A partial step's per-partition edge
+  and destination counters come from counts, never from a per-edge
+  partition lookup: a sorted destination stream gives both by binary
+  searches at the partition boundaries; a denser unsorted one by one
+  per-vertex ``bincount``, whose nonzeros are the touched destinations
+  the reduction reuses and whose prefix sums at the boundaries are the
+  edge counts; only a sparse stream (under n/16 edges) is sorted.
 * **Partial-step locality memo.**  A partial step's sampled stream-miss
   measurement is memoized per layout: the key is the stream length and
   its end elements, and a stored measurement is reused only when both
   stored streams equal the step's streams element for element.  Steps
   on one layout often repeat streams — algorithms that expand the same
   frontiers from the same source, repeated executions — and each
-  distinct stream is then measured once.
+  distinct stream is then measured once.  One of a step's two streams
+  is always sorted (push sources, pull destinations), and
+  :func:`~repro.machine.locality.line_hit_fraction` counts a sorted
+  stream's hits in one pass.
 * **Layout memoization.**  Everything derived from ``(graph,
   boundaries)`` — partition maps, flat COO streams, the
   :func:`~repro.partition.stats.compute_stats` totals, segment starts,
@@ -52,10 +70,11 @@ Where the time goes, and what this engine does about it:
   a weak per-graph cache, so a sweep pricing eight algorithms over one
   prepared graph pays the setup once instead of eight times.
 
-Partial (sparse / medium-dense) frontiers extract their active edges as
-the oracle does (mask compression for pull, row gathers for push); their
-reductions use the segment kernels when the destination stream is sorted
-(pull) and ``np.ufunc.at`` scatters otherwise (sparse push), both of
+Partial frontiers extract their active edges by mask compression (pull,
+and dense-class push) or row gathers (medium and sparse push, pull over
+candidates) — the oracle's edges in the oracle's order; their reductions
+use the segment kernels when the destination stream is sorted (pull) and
+``np.bincount`` or ``np.ufunc.at`` scatters otherwise (push), all of
 which are bit-equal.
 
 The segment fast paths additionally require the reduction identity the
@@ -83,7 +102,7 @@ from repro.frameworks.engine import (
     _stream_miss,
     gather_rows,
 )
-from repro.frameworks.frontier import Frontier
+from repro.frameworks.frontier import DensityClass, Frontier
 from repro.frameworks.trace import IterationRecord, WorkTrace
 from repro.graph.csr import INDEX_DTYPE, Graph
 
@@ -158,11 +177,16 @@ class _SharedLayout:
 
     # -- dense-stream geometry -----------------------------------------
     @cached_property
+    def out_degrees(self) -> np.ndarray:
+        """Out-degree of each vertex (the CSR row lengths)."""
+        return self.graph.csr.degrees()
+
+    @cached_property
     def csr_src(self) -> np.ndarray:
         """Edge -> source vertex in CSR (source-major) order."""
         return np.repeat(
             np.arange(self.graph.num_vertices, dtype=INDEX_DTYPE),
-            self.graph.csr.degrees(),
+            self.out_degrees,
         )
 
     @cached_property
@@ -239,8 +263,8 @@ class VectorizedEngine:
         self._vertex_part = shared.vertex_part
         #: CSC edge -> destination vertex.
         self._csc_dst = shared.csc_dst
-        #: The last ``(dsts, touched)`` pair of :meth:`_touched_dsts`.
-        self._touched_cache: tuple[np.ndarray, np.ndarray] | None = None
+        #: The last ``(dsts, touched, part_edges)`` of :meth:`_dst_counts`.
+        self._touched_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # edgemap / vertexmap
@@ -344,18 +368,17 @@ class VectorizedEngine:
         return measured
 
     def _edgemap_record(
-        self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray
+        self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray,
+        density: DensityClass | None = None,
     ) -> IterationRecord:
-        """The work record of one edgemap step over its active streams."""
+        """The work record of one edgemap step over its active streams;
+        ``density`` is the frontier's class when the caller has it."""
         p = self.num_partitions
-        parts = self._vertex_part[dsts]
-        part_edges = np.bincount(parts, minlength=p).astype(np.int64)
         if dsts.size:
-            touched = self._touched_dsts(dsts)
-            part_dsts = np.bincount(
-                self._vertex_part[touched], minlength=p
-            ).astype(np.int64)
+            touched, part_edges = self._dst_counts(dsts)
+            part_dsts = np.diff(np.searchsorted(touched, self.boundaries))
         else:
+            part_edges = np.zeros(p, dtype=np.int64)
             part_dsts = np.zeros(p, dtype=np.int64)
         # Distinct sources per partition: an exact (partition, source)
         # dedup would cost an O(m log m) lexsort per step, so the static
@@ -376,7 +399,7 @@ class VectorizedEngine:
         return IterationRecord(
             kind="edgemap",
             direction=direction,
-            density=frontier.classify(self.graph),
+            density=frontier.classify(self.graph) if density is None else density,
             active_vertices=frontier.count(),
             active_edges=int(dsts.size),
             part_edges=part_edges,
@@ -411,7 +434,8 @@ class VectorizedEngine:
     # layout and append the same (immutable) record on every replay.
 
     def _record_edgemap(
-        self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray
+        self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray,
+        density: DensityClass | None = None,
     ) -> None:
         shared = self._shared
         graph = self.graph
@@ -424,11 +448,11 @@ class VectorizedEngine:
                 # lazy csr_src stream just to compare identities)
                 stream = "csr"
         if stream is None:
-            record = self._edgemap_record(direction, frontier, srcs, dsts)
+            record = self._edgemap_record(direction, frontier, srcs, dsts, density)
         else:
             record = shared.record_templates.get((direction, stream))
             if record is None:
-                record = self._edgemap_record(direction, frontier, srcs, dsts)
+                record = self._edgemap_record(direction, frontier, srcs, dsts, density)
                 shared.record_templates[direction, stream] = record
         self.trace.append(record)
 
@@ -480,9 +504,19 @@ class VectorizedEngine:
         graph = self.graph
         if frontier.count() == graph.num_vertices:
             return self._finish_full(frontier, op, state, "push")
-        flat, srcs = gather_rows(graph.csr.offsets, graph.csr.adj, frontier.ids)
-        dsts = graph.csr.adj[flat]
-        return self._finish_scatter(frontier, op, state, srcs, dsts, "push")
+        density = frontier.classify(graph)
+        if density is DensityClass.DENSE:
+            # Most edges are active: compress the CSR adjacency by its
+            # sources' flags.  Frontier ids ascend, so these are the row
+            # gather's edges in the row gather's (CSR) order.
+            ids = frontier.ids
+            out_degrees = self._shared.out_degrees
+            srcs = np.repeat(ids, out_degrees[ids])
+            dsts = graph.csr.adj[np.repeat(frontier.mask, out_degrees)]
+        else:
+            flat, srcs = gather_rows(graph.csr.offsets, graph.csr.adj, frontier.ids)
+            dsts = graph.csr.adj[flat]
+        return self._finish_scatter(frontier, op, state, srcs, dsts, "push", density)
 
     # ------------------------------------------------------------------
     # Reduction + apply + next frontier
@@ -502,25 +536,35 @@ class VectorizedEngine:
         return Frontier(mask=mask, _ids=next_ids, _count=int(next_ids.size))
 
     #: Sparse cutoff: when a step touches at most n/16 edges, sorting the
-    #: small destination stream beats O(n) flag sweeps and accumulators.
+    #: small destination stream beats O(n) counts and accumulators.
     _SPARSE_FACTOR = 16
 
-    def _touched_dsts(self, dsts: np.ndarray) -> np.ndarray:
-        """Sorted unique destinations of a step (int64), memoized per
-        stream so the accounting and the reduction share one computation.
-        Sparse streams sort (O(e log e)); denser ones sweep a touch-flag
-        array (O(n + e), no sort)."""
+    def _dst_counts(self, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(touched, part_edges)`` of a non-empty destination stream:
+        its sorted unique destinations (int64) and its edges per
+        partition, memoized per stream so the accounting and the
+        reduction share one computation.  Sparse streams sort
+        (O(e log e)).  Denser ones count per vertex with one ``bincount``
+        (O(n + e), no sort): its nonzeros are the touched set and its
+        prefix sums at the partition boundaries the edge counts.
+        :meth:`_finish_sorted` primes the memo for sorted streams."""
         cache = self._touched_cache
         if cache is not None and cache[0] is dsts:
-            return cache[1]
-        if dsts.size * self._SPARSE_FACTOR < self.graph.num_vertices:
+            return cache[1], cache[2]
+        n = self.graph.num_vertices
+        if dsts.size * self._SPARSE_FACTOR < n:
             touched = np.unique(dsts).astype(INDEX_DTYPE, copy=False)
+            part_edges = np.bincount(
+                self._vertex_part[dsts], minlength=self.num_partitions
+            ).astype(np.int64, copy=False)
         else:
-            flag = np.zeros(self.graph.num_vertices, dtype=bool)
-            flag[dsts] = True
-            touched = np.flatnonzero(flag).astype(INDEX_DTYPE)
-        self._touched_cache = (dsts, touched)
-        return touched
+            counts = np.bincount(dsts, minlength=n)
+            touched = np.flatnonzero(counts).astype(INDEX_DTYPE, copy=False)
+            ends = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=ends[1:])
+            part_edges = np.diff(ends[self.boundaries])
+        self._touched_cache = (dsts, touched, part_edges)
+        return touched, part_edges
 
     @staticmethod
     def _reduce_at(reduce: str, acc: np.ndarray, dsts: np.ndarray, vals: np.ndarray) -> None:
@@ -581,8 +625,8 @@ class VectorizedEngine:
     ) -> Frontier:
         """Finish a step whose ``dsts`` stream is non-decreasing (CSC
         compression preserves destination order), so touched destinations
-        and segment boundaries come from one difference scan instead of a
-        vertex-range flag sweep."""
+        and segment boundaries come from one difference scan, and each
+        partition's edges from one binary search per boundary."""
         graph = self.graph
         if dsts.size:
             boundary = np.empty(dsts.size, dtype=bool)
@@ -590,10 +634,11 @@ class VectorizedEngine:
             np.not_equal(dsts[1:], dsts[:-1], out=boundary[1:])
             starts = np.flatnonzero(boundary)
             # Sorted stream: segment heads ARE the sorted unique
-            # destinations; prime the cache so the work accounting reuses
+            # destinations; prime the memo so the work accounting reuses
             # them instead of re-deriving the same ids.
             touched = dsts[starts]
-            self._touched_cache = (dsts, touched)
+            part_edges = np.diff(np.searchsorted(dsts, self.boundaries))
+            self._touched_cache = (dsts, touched, part_edges)
         self._record_edgemap(direction, frontier, srcs, dsts)
         if dsts.size == 0:
             return Frontier.empty(graph.num_vertices)
@@ -620,19 +665,20 @@ class VectorizedEngine:
         srcs: np.ndarray,
         dsts: np.ndarray,
         direction: str,
+        density: DensityClass | None = None,
     ) -> Frontier:
-        """Finish a step with an unordered destination stream (sparse /
-        medium push).  ``add`` still avoids ``np.add.at`` via ``bincount``
-        (same sequential order); ``min``/``or`` scatter with ``ufunc.at``
-        — sorting small irregular streams costs more than the scatter
-        saves."""
+        """Finish a step with an unordered destination stream (partial
+        push, or pull over unsorted candidates).  ``add`` still avoids
+        ``np.add.at`` via ``bincount`` (same sequential order);
+        ``min``/``or`` scatter with ``ufunc.at`` — sorting small
+        irregular streams costs more than the scatter saves."""
         graph = self.graph
         n = graph.num_vertices
-        self._record_edgemap(direction, frontier, srcs, dsts)
+        self._record_edgemap(direction, frontier, srcs, dsts, density)
         if dsts.size == 0:
             return Frontier.empty(n)
         vals = np.asarray(op.gather(srcs, dsts, state), dtype=np.float64)
-        touched = self._touched_dsts(dsts)
+        touched = self._dst_counts(dsts)[0]
         if touched.size < n:
             compact = touched.size * self._SPARSE_FACTOR < n
         else:

@@ -69,12 +69,22 @@ def line_hit_fraction(indices: np.ndarray, window: int = 4096) -> float:
     stable bucket sort (line ids are small non-negative integers: one
     16-bit radix pass below 65,536 lines), whose permutation is itself
     the sorted stream positions.
+
+    A stream whose line ids never decrease (a CSR source or CSC
+    destination stream) skips the sort: each access's previous access to
+    its line, if any, is its predecessor, one access back, so with
+    ``window >= 1`` the hits are the accesses equal to their predecessor
+    — the same count, hence the same float.  (At ``window < 1`` nothing
+    hits, and the general path says so.)
     """
     from repro.ordering.base import stable_bucket_argsort
 
     if indices.size == 0:
         return 1.0
     line_ids = np.asarray(indices, dtype=np.int64) // ELEMS_PER_LINE
+    if window >= 1 and not np.any(line_ids[1:] < line_ids[:-1]):
+        repeats = np.count_nonzero(line_ids[1:] == line_ids[:-1])
+        return float(repeats) / line_ids.size
     pos = stable_bucket_argsort(line_ids)
     sorted_lines = line_ids[pos]
     same = np.empty(line_ids.size, dtype=bool)

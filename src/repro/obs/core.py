@@ -44,10 +44,14 @@ means no cross-process locking; within a process a lock serializes writes,
 so lines never interleave.  :func:`merge_process_files` folds finished
 workers' files into the calling process's own log (raw byte append —
 lossless by construction), which the sweep orchestrator does when its
-pool completes.  Every line carries ``{"v": EVENT_VERSION, "seq", "ts",
-"pid", "tid", "ph", "name", "cat", "args"}``; ``ts`` is microseconds
-since the epoch derived from one ``perf_counter`` base per process, so
-timestamps are monotonic per thread and comparable across processes.
+pool completes.  A writer's first line in a file (its ``process_name``
+metadata) records its start time where ``/proc`` gives it, so a file is
+only taken for live while its pid is alive *with that start time*: a
+recycled pid does not strand a dead worker's events.  Every line
+carries ``{"v": EVENT_VERSION, "seq", "ts", "pid", "tid", "ph", "name",
+"cat", "args"}``; ``ts`` is microseconds since the epoch derived from one
+``perf_counter`` base per process, so timestamps are monotonic per thread
+and comparable across processes.
 """
 
 from __future__ import annotations
@@ -233,7 +237,11 @@ def _ensure_open() -> bool:
     except OSError:
         return False
     s.path = path
-    _write_locked("M", "process_name", {"name": "repro"}, cat="meta")
+    meta = {"name": "repro"}
+    start = _process_start(pid)
+    if start is not None:
+        meta["start"] = start
+    _write_locked("M", "process_name", meta, cat="meta")
     return True
 
 
@@ -572,15 +580,59 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _process_start(pid: int) -> int | None:
+    """When process ``pid`` started, in clock ticks since boot (field 22
+    of ``/proc/<pid>/stat``), or ``None`` when that cannot be read (no
+    such process, or no ``/proc``).  A pid and its start time name one
+    process: a recycled pid has a later start."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            stat = fh.read()
+        # Field 2, the command name, is parenthesized and may itself hold
+        # spaces or parentheses; fields 3 onwards follow its last ")".
+        return int(stat[stat.rindex(b")") + 1 :].split()[19])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _recorded_start(evt) -> int | None:
+    """The writer start time a ``process_name`` line records, if any."""
+    if _event(evt) is None or evt.get("ph") != "M" or evt.get("name") != "process_name":
+        return None
+    args = evt.get("args")
+    start = args.get("start") if isinstance(args, dict) else None
+    return start if isinstance(start, int) else None
+
+
+def _writer_alive(path: Path, pid: int) -> bool:
+    """Whether the process that writes ``path``, the event file named for
+    ``pid``, may still be running: ``pid`` is alive with a start time
+    that one of the file's writers recorded on its first line there.  A
+    file that records none (an older log), or a host whose ``/proc``
+    cannot be read, keeps the bare-pid rule."""
+    from repro.store.appendlog import read_log
+
+    start = _process_start(pid)
+    if start is None:
+        return _pid_alive(pid)
+    try:
+        recorded = read_log(path, _recorded_start)
+    except OSError:
+        recorded = []
+    return not recorded or start in recorded
+
+
 def merge_process_files(where: str | os.PathLike | None = None) -> int:
     """Fold finished processes' event files into this process's own log.
 
     Lossless by construction: each foreign file's raw bytes are appended
     verbatim to our file in one write, then the source is deleted.  Files
-    belonging to a *live* pid (another process mid-write — our own
-    included) are left alone.  Returns the number of files merged.  The sweep orchestrator
-    calls this after its worker pool has exited, so one run's events end
-    up in one file regardless of how many workers it fanned out.
+    of a *live* writer (another process mid-write — our own included)
+    are left alone; a live pid whose start time differs from every one
+    the file records is a recycled pid, and its file is merged.  Returns
+    the number of files merged.  The sweep orchestrator calls this after
+    its worker pool has exited, so one run's events end up in one file
+    regardless of how many workers it fanned out.
     """
     from repro.store.appendlog import write_log
 
@@ -594,7 +646,7 @@ def merge_process_files(where: str | os.PathLike | None = None) -> int:
             pid = int(path.stem.rsplit("-", 1)[1])
         except (IndexError, ValueError):
             continue
-        if pid == own or _pid_alive(pid):
+        if pid == own or _writer_alive(path, pid):
             continue
         try:
             blob = path.read_bytes()

@@ -287,3 +287,23 @@ class TestEdgeWeights:
         w = edge_weights(s, d, orig_ids=orig)
         direct = edge_weights(np.array([5, 9]), np.array([9, 5]))
         assert np.array_equal(w, direct)
+
+    @pytest.mark.parametrize("high", [1_000, 2**31, 2**63 - 1])
+    def test_bit_equal_to_the_masked_modulo_formula(self, high):
+        """The weights equal ``((s*A + d*B) & 0x7FFFFFFF) % 32 + 1`` in
+        wrapping int64, bit for bit, from random ids up to ``2**63 - 1``
+        (where the products wrap), with and without ``orig_ids``."""
+        rng = np.random.default_rng(high % 1_000_003)
+        s = rng.integers(0, high, size=5_000, endpoint=True)
+        d = rng.integers(0, high, size=5_000, endpoint=True)
+        s[:2] = d[-2:] = [0, high]
+
+        def formula(s, d):
+            h = (s * np.int64(2654435761) + d * np.int64(40503)) & np.int64(0x7FFFFFFF)
+            return (h % 32 + 1).astype(np.float64)
+
+        want = formula(s, d)
+        assert edge_weights(s, d).tobytes() == want.tobytes()
+        a, b = rng.permutation(s.size), rng.permutation(s.size)
+        relabelled = edge_weights(a, b, orig_ids=s)
+        assert relabelled.tobytes() == formula(s[a], s[b]).tobytes()

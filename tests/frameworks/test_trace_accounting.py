@@ -12,16 +12,22 @@ static partition statistics (:func:`repro.partition.stats.compute_stats`):
   sources)``;
 * a full dense step (every vertex active, pull) reproduces the static
   Figure 1 counters *exactly*, for edges, unique destinations and unique
-  sources, under both accounting modes.
+  sources, under both accounting modes;
+* the shipped engine counts a partial step's edges and destinations per
+  partition exactly as the oracle does, whichever way it counts: binary
+  searches over a sorted destination stream, a sort of a sparse unsorted
+  one, or one per-vertex count of a denser unsorted one.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.frameworks.engine import EdgeOp
 from repro.frameworks.frontier import Frontier
-from repro.frameworks.trace import WorkTrace
+from repro.frameworks.trace import WorkTrace, record_fingerprint
 from repro.frameworks.vectorized import VectorizedEngine
+from repro.graph.csr import Graph
 from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
 
@@ -172,3 +178,55 @@ class TestVertexmapAccounting:
             assert rec.kind == "vertexmap"
             assert int(rec.part_vertices.sum()) == f.count()
             assert rec.part_edges.sum() == 0
+
+
+@st.composite
+def uneven_layout(draw):
+    """A random graph, whose vertex 0 has two parallel out-edges, under
+    random boundaries: repeated cuts (empty partitions) are common, and
+    ``P`` ranges up to twice ``n``."""
+    n = draw(st.integers(min_value=40, max_value=120))
+    m = draw(st.integers(min_value=n, max_value=6 * n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    srcs = np.r_[0, 0, rng.integers(1, n, size=m - 2)]
+    dsts = rng.integers(0, n, size=m)
+    dsts[1] = dsts[0]
+    graph = Graph.from_edges(srcs, dsts, n, name="acct")
+    p = draw(st.integers(min_value=1, max_value=2 * n))
+    cuts = np.sort(rng.integers(0, n + 1, size=p - 1))
+    return graph, np.concatenate([[0], cuts, [n]]).astype(np.int64), rng
+
+
+@given(uneven_layout())
+@settings(max_examples=60, deadline=None)
+def test_partial_step_counters_match_the_oracle(layout):
+    """Sorted streams (pull, pull over ascending candidates), a sparse
+    unsorted stream (push from vertex 0: two edges, fewer than n/16) and
+    denser unsorted ones (push from half the vertices, pull over shuffled
+    candidates) record what the oracle records."""
+    graph, boundaries, rng = layout
+    n = graph.num_vertices
+    half = rng.random(n) < 0.5
+    half[0] = True
+    cases = [
+        ("push", Frontier.from_ids(np.array([0]), n), None),
+        ("push", Frontier.from_mask(half), None),
+        ("pull", Frontier.from_mask(half), None),
+        ("pull", Frontier.from_mask(half), np.flatnonzero(rng.random(n) < 0.7)),
+        ("pull", Frontier.from_mask(half), rng.permutation(n)[: n // 2]),
+    ]
+    for direction, frontier, candidates in cases:
+        fingerprints = []
+        for build in (ReferenceEngine, VectorizedEngine):
+            trace = WorkTrace(algorithm="acct", graph_name="acct",
+                              num_partitions=boundaries.size - 1)
+            state = {"dist": np.arange(n, dtype=np.float64)}
+            nxt = build(graph, boundaries, trace).edgemap(
+                frontier, relax_op(), state, direction=direction,
+                dst_candidates=candidates,
+            )
+            (rec,) = trace.records
+            fingerprints.append(
+                (record_fingerprint(rec), nxt.ids.tobytes(), state["dist"].tobytes())
+            )
+        assert fingerprints[0] == fingerprints[1], (direction, candidates is None)

@@ -18,6 +18,8 @@ from repro.machine.locality import (
     sequential_fraction,
 )
 
+from oracles import line_hit_fraction_reference
+
 
 class TestCacheSimulator:
     def test_sequential_stream_mostly_hits(self):
@@ -132,15 +134,26 @@ class TestLocality:
     def test_bucket_grouping_matches_comparison_sort(self, high):
         """The bucket-sort grouping counts exactly the hits a stable
         comparison argsort over the line ids finds (one and two radix
-        passes)."""
+        passes), and so does the sorted-stream shortcut: on sorted
+        streams, on nearly sorted ones (one swapped pair, so the shortcut
+        must not fire) and at windows 0 (where it must not fire) and 1."""
         rng = np.random.default_rng(high)
-        stream = rng.integers(0, high, 30_000)
-        lines = stream // 8
-        order = np.argsort(lines, kind="stable")
-        same = np.r_[False, lines[order][1:] == lines[order][:-1]]
-        gap = np.r_[np.iinfo(np.int64).max, np.diff(order)]
-        want = float(np.count_nonzero(same & (gap <= 256))) / stream.size
-        assert line_hit_fraction(stream, window=256) == want
+        random = rng.integers(0, high, 30_000)
+        ordered = np.sort(random)
+        nearly = ordered.copy()
+        steps = np.flatnonzero(np.diff(nearly // 8))
+        if steps.size:
+            j = steps[steps.size // 2]
+            nearly[[j, j + 1]] = nearly[[j + 1, j]]
+        for stream in (random, ordered, nearly, ordered[:1]):
+            lines = stream // 8
+            order = np.argsort(lines, kind="stable")
+            same = np.r_[False, lines[order][1:] == lines[order][:-1]]
+            gap = np.r_[np.iinfo(np.int64).max, np.diff(order)]
+            for window in (0, 1, 256):
+                want = float(np.count_nonzero(same & (gap <= window))) / stream.size
+                assert line_hit_fraction(stream, window=window) == want
+                assert line_hit_fraction_reference(stream, window=window) == want
 
     def test_empty_stream(self):
         loc = measure_stream(np.array([], dtype=np.int64))

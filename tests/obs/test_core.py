@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +165,94 @@ class TestSpansAndEvents:
         live = obs_dir / f"events-{os.getpid()}.jsonl"
         assert obs.merge_process_files(obs_dir) == 0
         assert live.exists()
+
+
+_WRITER = """
+import sys, time
+from repro import obs
+obs.event("child")
+print("ready", flush=True)
+time.sleep(float(sys.argv[1]))
+"""
+
+
+@pytest.fixture
+def live_writer(obs_dir):
+    """A live child process that has written its own event file (it
+    inherits the obs directory) and sleeps; killed on teardown."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _WRITER, "60"], env=env,
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert child.stdout.readline().strip() == "ready"
+        yield child
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+
+
+class TestRecycledPids:
+    """An event file is live only while its pid is alive with the start
+    time its writer recorded; a recycled pid's file is a dead writer's."""
+
+    def test_live_writer_records_its_start_and_is_not_merged(self, obs_dir, live_writer):
+        start = core._process_start(live_writer.pid)
+        if start is None:
+            pytest.skip("process start times are not readable on this host")
+        path = obs_dir / f"events-{live_writer.pid}.jsonl"
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        assert (first["ph"], first["name"]) == ("M", "process_name")
+        assert first["args"]["start"] == start
+        obs.event("mine")
+        assert obs.merge_process_files(obs_dir) == 0
+        assert path.exists()
+
+    def test_file_of_a_recycled_pid_is_merged(self, obs_dir, live_writer):
+        start = core._process_start(live_writer.pid)
+        if start is None:
+            pytest.skip("process start times are not readable on this host")
+        obs.event("mine")
+        # A dead worker's file, named for the pid the live child now holds.
+        path = obs_dir / f"events-{live_writer.pid}.jsonl"
+        base = {"v": core.EVENT_VERSION, "ts": 1, "pid": live_writer.pid, "tid": 1}
+        stale = [
+            {**base, "seq": 1, "ph": "M", "name": "process_name", "cat": "meta",
+             "args": {"name": "repro", "start": start - 1}},
+            {**base, "seq": 2, "ph": "I", "name": "stranded", "cat": ""},
+        ]
+        path.write_text("".join(json.dumps(e) + "\n" for e in stale), encoding="utf-8")
+        assert obs.merge_process_files(obs_dir) == 1
+        assert not path.exists()
+        assert "stranded" in {e["name"] for e in read_own_file(obs_dir)}
+
+    def test_later_writer_of_a_recycled_pid_keeps_the_file_live(self, obs_dir, live_writer):
+        """A process given a dead writer's pid appends to its file; the
+        line it adds on opening keeps the file live."""
+        start = core._process_start(live_writer.pid)
+        if start is None:
+            pytest.skip("process start times are not readable on this host")
+        path = obs_dir / f"events-{live_writer.pid}.jsonl"
+        base = {"v": core.EVENT_VERSION, "ts": 1, "pid": live_writer.pid, "tid": 1}
+        dead = {**base, "seq": 1, "ph": "M", "name": "process_name", "cat": "meta",
+                "args": {"name": "repro", "start": start - 1}}
+        path.write_text(json.dumps(dead) + "\n" + path.read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        obs.event("mine")
+        assert obs.merge_process_files(obs_dir) == 0
+        assert path.exists()
+
+    def test_file_without_a_start_keeps_the_bare_pid_rule(self, obs_dir, live_writer):
+        path = obs_dir / f"events-{live_writer.pid}.jsonl"
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for evt in lines:
+            evt.get("args", {}).pop("start", None)
+        path.write_text("".join(json.dumps(e) + "\n" for e in lines), encoding="utf-8")
+        obs.event("mine")
+        assert obs.merge_process_files(obs_dir) == 0
+        assert path.exists()
 
 
 class TestMetrics:

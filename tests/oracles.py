@@ -18,15 +18,11 @@ import numpy as np
 
 from repro.errors import PartitionError, SimulationError
 from repro.frameworks.backends import register_backend
-from repro.frameworks.engine import (
-    DIRECTION_THRESHOLD_DENOM,
-    EdgeOp,
-    _stream_miss,
-    gather_rows,
-)
+from repro.frameworks.engine import _MISS_SAMPLE, DIRECTION_THRESHOLD_DENOM, EdgeOp
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.trace import IterationRecord, WorkTrace
 from repro.graph.csr import INDEX_DTYPE, CSRMatrix, Graph
+from repro.machine.locality import ELEMS_PER_LINE, reuse_window
 from repro.partition.stats import PartitionStats
 
 
@@ -341,6 +337,80 @@ def price_per_record(model, trace, locality: tuple[float, float]) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Row gathers and sampled stream locality, as the engine first had them.
+# The oracle engine runs these copies, not the library's: the library's
+# fast paths are checked against them, and ``test_backend_speedup`` times
+# the oracle against the engine, which a shared helper would blur.
+# ----------------------------------------------------------------------
+
+def gather_rows_reference(offsets: np.ndarray, adj: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather the adjacency lists of ``rows`` from a compressed structure.
+
+    Returns ``(flat_positions, row_of_each)`` where ``adj[flat_positions]``
+    are the concatenated neighbour lists and ``row_of_each`` repeats each
+    row id by its degree.  Fully vectorized (no per-row concatenate).
+    """
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=INDEX_DTYPE)
+    # positions = starts[i] + (0..counts[i]) for each row i, flattened.
+    row_rep = np.repeat(np.arange(rows.size, dtype=INDEX_DTYPE), counts)
+    cum = np.zeros(rows.size, dtype=INDEX_DTYPE)
+    np.cumsum(counts[:-1], out=cum[1:])
+    local = np.arange(total, dtype=INDEX_DTYPE) - cum[row_rep]
+    flat = starts[row_rep] + local
+    return flat, rows[row_rep]
+
+
+def line_hit_fraction_reference(indices: np.ndarray, window: int = 4096) -> float:
+    """Fraction of accesses whose cache line was touched in the previous
+    ``window`` accesses (a fixed-window LRU approximation).  ``indices``
+    are non-negative element indices.
+
+    Implementation: for every access record the stream position of the
+    previous access to the same line; a hit is a reuse distance (in
+    accesses, not distinct lines) below the window.  This
+    over-approximates a real LRU stack distance but ranks orders
+    identically in practice.  The accesses are grouped by line with a
+    stable bucket sort (line ids are small non-negative integers: one
+    16-bit radix pass below 65,536 lines), whose permutation is itself
+    the sorted stream positions.
+    """
+    from repro.ordering.base import stable_bucket_argsort
+
+    if indices.size == 0:
+        return 1.0
+    line_ids = np.asarray(indices, dtype=np.int64) // ELEMS_PER_LINE
+    pos = stable_bucket_argsort(line_ids)
+    sorted_lines = line_ids[pos]
+    same = np.empty(line_ids.size, dtype=bool)
+    same[0] = False
+    same[1:] = sorted_lines[1:] == sorted_lines[:-1]
+    gap = np.empty(line_ids.size, dtype=np.int64)
+    gap[0] = np.iinfo(np.int64).max
+    gap[1:] = pos[1:] - pos[:-1]
+    hits = same & (gap <= window)
+    return float(np.count_nonzero(hits)) / line_ids.size
+
+
+def stream_miss_reference(srcs: np.ndarray, dsts: np.ndarray, num_vertices: int) -> tuple[float, float]:
+    """Sampled miss fractions of one step's (source, destination) streams."""
+    if srcs.size == 0:
+        return 0.0, 0.0
+    if srcs.size > _MISS_SAMPLE:
+        start = (srcs.size - _MISS_SAMPLE) // 2
+        srcs = srcs[start : start + _MISS_SAMPLE]
+        dsts = dsts[start : start + _MISS_SAMPLE]
+    window = reuse_window(num_vertices)
+    return (
+        1.0 - line_hit_fraction_reference(srcs, window=window),
+        1.0 - line_hit_fraction_reference(dsts, window=window),
+    )
+
+
+# ----------------------------------------------------------------------
 # Frontier engine: mask compression and ufunc.at scatters, every step
 # accounted from scratch
 # ----------------------------------------------------------------------
@@ -396,7 +466,7 @@ class ReferenceEngine:
     # Work accounting
     # ------------------------------------------------------------------
     def _stream_miss_pair(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple[float, float]:
-        return _stream_miss(srcs, dsts, self.graph.num_vertices)
+        return stream_miss_reference(srcs, dsts, self.graph.num_vertices)
 
     def _touched_dsts(self, dsts: np.ndarray) -> np.ndarray:
         """Sorted unique destinations of a step, via a touch-flag array
@@ -547,7 +617,7 @@ class ReferenceEngine:
             srcs = csc.adj[active]
             dsts = self._csc_dst[active]
         else:
-            flat, dsts_all = gather_rows(csc.offsets, csc.adj, dst_candidates)
+            flat, dsts_all = gather_rows_reference(csc.offsets, csc.adj, dst_candidates)
             srcs_all = csc.adj[flat]
             active = frontier.mask[srcs_all]
             srcs = srcs_all[active]
@@ -556,7 +626,7 @@ class ReferenceEngine:
 
     def _edgemap_push(self, frontier: Frontier, op: EdgeOp, state: dict) -> Frontier:
         graph = self.graph
-        flat, srcs = gather_rows(graph.csr.offsets, graph.csr.adj, frontier.ids)
+        flat, srcs = gather_rows_reference(graph.csr.offsets, graph.csr.adj, frontier.ids)
         dsts = graph.csr.adj[flat]
         return self._finish(frontier, op, state, srcs, dsts, "push")
 

@@ -22,7 +22,7 @@ from repro.frameworks.vectorized import VectorizedEngine
 from repro.graph.csr import Graph
 from repro.partition.algorithm1 import chunk_boundaries
 
-from oracles import ReferenceEngine
+from oracles import ReferenceEngine, gather_rows_reference
 
 
 @st.composite
@@ -151,20 +151,27 @@ def test_gather_rows_handles_empty_and_zero_degree_rows(gf):
     flat, row_of = gather_rows(csr.offsets, csr.adj, np.empty(0, dtype=np.int64))
     assert flat.size == 0 and row_of.size == 0
 
-    # arbitrary selections (including zero-degree rows, duplicates) match
-    # the manual per-row concatenation
-    rows = frontier.ids
-    flat, row_of = gather_rows(csr.offsets, csr.adj, rows)
-    expected_adj = (
-        np.concatenate([csr.neighbors(int(r)) for r in rows])
-        if rows.size
-        else np.empty(0, dtype=np.int64)
-    )
-    assert np.array_equal(csr.adj[flat] if flat.size else flat, expected_adj)
-    assert np.array_equal(
-        row_of,
-        np.repeat(rows, csr.degrees()[rows]) if rows.size else row_of,
-    )
+    # arbitrary selections (including zero-degree rows, and the unsorted,
+    # repeated rows a pull candidate set may hold) match the manual
+    # per-row concatenation and the oracle's row gather
+    ids = frontier.ids
+    rng = np.random.default_rng(ids.size)
+    repeated = rng.permutation(np.concatenate([ids, ids[: ids.size // 2]]))
+    for rows in (ids, ids[::-1], repeated):
+        flat, row_of = gather_rows(csr.offsets, csr.adj, rows)
+        expected_adj = (
+            np.concatenate([csr.neighbors(int(r)) for r in rows])
+            if rows.size
+            else np.empty(0, dtype=np.int64)
+        )
+        assert np.array_equal(csr.adj[flat] if flat.size else flat, expected_adj)
+        assert np.array_equal(
+            row_of,
+            np.repeat(rows, csr.degrees()[rows]) if rows.size else row_of,
+        )
+        ref_flat, ref_row_of = gather_rows_reference(csr.offsets, csr.adj, rows)
+        assert flat.dtype == ref_flat.dtype and row_of.dtype == ref_row_of.dtype
+        assert np.array_equal(flat, ref_flat) and np.array_equal(row_of, ref_row_of)
 
 
 @given(graph_and_frontier(), st.sampled_from(sorted(OPS)))
