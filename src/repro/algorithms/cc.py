@@ -71,14 +71,10 @@ def _cc_async(graph: Graph, num_partitions: int, boundaries, max_iterations: int
     n = graph.num_vertices
     label = np.arange(n, dtype=np.int64)
     csc = graph.csc
-    # Reuse the engine's edge -> destination stream when it has one: the
-    # vectorized backend additionally recognizes (csc.adj, _csc_dst) as
-    # the full dense stream and replays its cached work record.  The
-    # attribute is an implementation detail of the built-in engines, not
-    # part of the EngineBackend protocol, so fall back to computing it.
-    csc_dst = getattr(engine, "_csc_dst", None)
-    if csc_dst is None:
-        csc_dst = np.repeat(np.arange(n, dtype=np.int64), csc.degrees())
+    # The engine's own stream: the vectorized engine matches (csc.adj,
+    # _csc_dst) by identity as the full dense stream and replays its
+    # cached record for every sweep.
+    csc_dst = engine._csc_dst
     csr = graph.csr
     csr_src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
 

@@ -30,8 +30,8 @@ reduce     result (per destination)              used by
 =========  ====================================  =====================
 
 This module holds what every engine shares: :class:`EdgeOp`,
-:func:`gather_rows`, the direction threshold and the sampled stream-miss
-measurement.
+:func:`gather_rows`, the direction threshold and the sample cap of the
+per-step stream-miss measurement.
 """
 
 from __future__ import annotations
@@ -52,23 +52,6 @@ DIRECTION_THRESHOLD_DENOM = 20
 
 #: Sample cap for per-record stream locality measurement.
 _MISS_SAMPLE = 100_000
-
-
-def _stream_miss(srcs: np.ndarray, dsts: np.ndarray, num_vertices: int) -> tuple[float, float]:
-    """Sampled miss fractions of one step's (source, destination) streams."""
-    from repro.machine.locality import line_hit_fraction, reuse_window
-
-    if srcs.size == 0:
-        return 0.0, 0.0
-    if srcs.size > _MISS_SAMPLE:
-        start = (srcs.size - _MISS_SAMPLE) // 2
-        srcs = srcs[start : start + _MISS_SAMPLE]
-        dsts = dsts[start : start + _MISS_SAMPLE]
-    window = reuse_window(num_vertices)
-    return (
-        1.0 - line_hit_fraction(srcs, window=window),
-        1.0 - line_hit_fraction(dsts, window=window),
-    )
 
 
 def gather_rows(offsets: np.ndarray, adj: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,13 @@
 """The ``parallel`` engine backend: threaded chunk workers over dense steps.
 
 :class:`ParallelEngine` is the second engine backend.  It subclasses the
-``vectorized`` engine and overrides exactly one thing: **fully dense**
+``vectorized`` engine and changes exactly one thing: **fully dense**
 edgemap/vertexmap steps execute concurrently across a pool of chunk
-workers instead of as one monolithic numpy call.  Sparse and medium
+workers instead of as one monolithic numpy call.  It overrides two
+narrow hooks of that engine, the dense step's gather-and-reduce
+(``_reduce_full``) and the vertexmap's call of the vertex function
+(``_map_vertices``); the records, the ``apply`` and the next frontier stay
+the vectorized engine's.  Sparse and medium
 frontiers — small, latency-bound, dominated by Python dispatch rather
 than array arithmetic — keep the vectorized backend's sequential fast
 paths unchanged.
@@ -30,21 +34,19 @@ Why the results are bit-identical
 Every reduction accumulates **per destination**, and each destination
 lives in exactly one band, so splitting the stream at destination
 boundaries cannot change which values meet in an accumulator — only
-*where* the accumulation happens.  Within a band the kernels are the
-vectorized backend's own (``np.bincount`` for ``add``, which performs the
-identical float64 additions in the identical sequential order as
-``np.add.at``; ``np.ufunc.reduceat`` over destination segments for
-``min``/``or``; the ``ufunc.at`` fallback for non-standard identities,
-fed the destination-grouped stream whose within-destination order is the
-CSR order a sequential push scatters in).  Each worker writes its
-results into a disjoint slice of one preallocated output, and the
-user-visible ``apply`` runs once, on the orchestrating thread, over the
-same ``(touched, reduced)`` pair every other backend produces.  The
-output is therefore a pure function of the inputs — independent of
-worker count, scheduling order, and interleaving — which the determinism
-suite (``tests/frameworks/test_parallel_determinism.py``) hammers with
-hostile floats at worker counts 1/2/4/8 and the differential conformance
-suite holds to the oracle engine (``tests/oracles.py``) across the full
+*where* the accumulation happens.  Within a band the kernel is the
+vectorized backend's own: a band calls its ``_reduce`` on the band's
+destination-grouped stream, ids shifted by the band's first vertex, so a
+push band's within-destination order is the CSR order a sequential push
+scatters in.  Each worker writes its results into a disjoint slice of one
+preallocated output, and the user-visible ``apply`` runs once, on the
+orchestrating thread, over the same ``(touched, reduced)`` pair every
+other backend produces.  The output is therefore a pure function of the
+inputs — independent of worker count, scheduling order, and
+interleaving — which the determinism suite
+(``tests/frameworks/test_parallel_determinism.py``) hammers with hostile
+floats at worker counts 1/2/4/8 and the differential conformance suite
+holds to the oracle engine (``tests/oracles.py``) across the full
 algorithm matrix.
 
 The one semantic requirement this adds: an :class:`EdgeOp`'s ``gather``
@@ -109,9 +111,8 @@ import numpy as np
 from repro import obs
 from repro.errors import SimulationError
 from repro.frameworks.engine import EdgeOp
-from repro.frameworks.frontier import Frontier
 from repro.frameworks.trace import WorkTrace
-from repro.frameworks.vectorized import VectorizedEngine, _is_positive_zero, _segment_reduce
+from repro.frameworks.vectorized import VectorizedEngine, _reduce
 from repro.graph.csr import INDEX_DTYPE, Graph
 
 __all__ = [
@@ -343,121 +344,83 @@ class ParallelEngine(VectorizedEngine):
             if mean_e > 0:
                 reg.histogram("engine.band_edge_imbalance").observe(max(edges) / mean_e)
 
-    # ------------------------------------------------------------------
-    # Dense edgemap
-    # ------------------------------------------------------------------
-    def _finish_full(
-        self, frontier: Frontier, op: EdgeOp, state: dict, direction: str
-    ) -> Frontier:
-        graph = self.graph
-        shared = self._shared
-        n = graph.num_vertices
-        if self._workers <= 1 or graph.num_edges < max(1, self._min_work):
-            return super()._finish_full(frontier, op, state, direction)
+    def _bands(self, work: int) -> np.ndarray | None:
+        """The band plan for a dense step of ``work`` edges (edgemap) or
+        vertices (vertexmap), or None when the step runs sequentially:
+        one worker, less work than ``min_work``, or a plan of a single
+        band (fan-out would only add dispatch)."""
+        if self._workers <= 1 or work < max(1, self._min_work):
+            return None
         pts = self._band_plan(self._workers)
-        if pts.size <= 2:  # single band: fan-out would only add dispatch
-            return super()._finish_full(frontier, op, state, direction)
+        return pts if pts.size > 2 else None
 
-        if direction == "pull":
-            srcs, dsts = graph.csc.adj, shared.csc_dst
-            perm = None
-        else:
-            srcs, dsts = shared.csr_src, graph.csr.adj
-            perm = shared.push_perm  # materialize lazily on this thread
-        self._record_edgemap(direction, frontier, srcs, dsts)
-        if dsts.size == 0:  # pragma: no cover - min_work gate keeps m >= 1
-            return Frontier.empty(n)
+    def _fan_out(self, kind: str, direction: str, pts: np.ndarray, run_band) -> None:
+        """Run ``run_band(i, lo, hi)`` for every band ``[lo, hi)`` of
+        ``pts`` on the shared pool, then note each band's edge count (what
+        ``run_band`` returns) and wall clock on the trace."""
 
+        def timed(i: int) -> tuple[int, int, int, float]:
+            t0 = time.perf_counter()
+            lo, hi = int(pts[i]), int(pts[i + 1])
+            edges = run_band(i, lo, hi)
+            return lo, hi, edges, time.perf_counter() - t0
+
+        pool = _get_pool(self._workers)
+        futures = [pool.submit(timed, i) for i in range(pts.size - 1)]
+        self._note_chunk_timings(kind, direction, [f.result() for f in futures])
+
+    def _reduce_full(
+        self, op: EdgeOp, state: dict, direction: str, srcs: np.ndarray, dsts: np.ndarray
+    ) -> np.ndarray:
+        graph = self.graph
+        pts = self._bands(graph.num_edges)
+        if pts is None:
+            return super()._reduce_full(op, state, direction, srcs, dsts)
         # Materialize every lazy layout member on the orchestrating thread
         # before fan-out; workers then only read immutable arrays.
+        shared = self._shared
+        perm = None if direction == "pull" else shared.push_perm
         touched = shared.full_touched
         full_starts = shared.full_starts
         offsets = graph.csc.offsets
-        csr_adj = graph.csr.adj
         t_idx = np.searchsorted(touched, pts)
         reduced = np.empty(touched.size, dtype=np.float64)
 
-        use_add = op.reduce == "add" and _is_positive_zero(op.identity)
-        use_min = op.reduce == "min" and op.identity == np.inf
-        use_or = op.reduce == "or" and op.identity == -np.inf
-
-        def run_band(i: int) -> tuple[int, int, int, float]:
-            t0 = time.perf_counter()
-            lo, hi = int(pts[i]), int(pts[i + 1])
+        def run_band(i: int, lo: int, hi: int) -> int:
             s, e = int(offsets[lo]), int(offsets[hi])
             ts, te = int(t_idx[i]), int(t_idx[i + 1])
             if e > s:
-                if perm is None:
-                    band_srcs = srcs[s:e]
-                    band_dsts = dsts[s:e]
-                else:
-                    idx = perm[s:e]
-                    band_srcs = srcs[idx]
-                    band_dsts = csr_adj[idx]
-                vals = np.asarray(
-                    op.gather(band_srcs, band_dsts, state), dtype=np.float64
+                # The band's edges: a slice of the destination-major pull
+                # stream, or the push_perm slice grouping the CSR stream.
+                idx = slice(s, e) if perm is None else perm[s:e]
+                band_dsts = dsts[idx]
+                vals = np.asarray(op.gather(srcs[idx], band_dsts, state), dtype=np.float64)
+                reduced[ts:te] = _reduce(
+                    op, band_dsts - lo, vals, touched[ts:te] - lo,
+                    full_starts[ts:te] - s, hi - lo,
                 )
-                if use_add:
-                    acc = np.bincount(
-                        band_dsts - lo, weights=vals, minlength=hi - lo
-                    )
-                    reduced[ts:te] = acc[touched[ts:te] - lo]
-                elif use_min:
-                    reduced[ts:te] = _segment_reduce(np.minimum, vals, full_starts[ts:te] - s)
-                elif use_or:
-                    reduced[ts:te] = _segment_reduce(np.maximum, vals, full_starts[ts:te] - s)
-                else:
-                    acc = np.full(hi - lo, op.identity, dtype=np.float64)
-                    self._reduce_at(op.reduce, acc, band_dsts - lo, vals)
-                    reduced[ts:te] = acc[touched[ts:te] - lo]
-            return lo, hi, e - s, time.perf_counter() - t0
+            return e - s
 
-        pool = _get_pool(self._workers)
-        futures = [pool.submit(run_band, i) for i in range(pts.size - 1)]
-        timings = [f.result() for f in futures]
-        self._note_chunk_timings("edgemap", direction, timings)
+        self._fan_out("edgemap", direction, pts, run_band)
+        return reduced
 
-        changed = op.apply(touched, reduced, state)
-        return self._next_frontier(touched, changed)
-
-    # ------------------------------------------------------------------
-    # Dense vertexmap
-    # ------------------------------------------------------------------
-    def vertexmap(self, frontier, fn, state):
+    def _map_vertices(self, fn, ids: np.ndarray, state: dict):
         n = self.graph.num_vertices
-        if (
-            self._workers <= 1
-            or frontier.count() != n
-            or n < max(1, self._min_work)
-        ):
-            return super().vertexmap(frontier, fn, state)
-        pts = self._band_plan(self._workers)
-        if pts.size <= 2:
-            return super().vertexmap(frontier, fn, state)
-
-        self._record_vertexmap(frontier)
-        ids = frontier.ids  # dense: ids[k] == k, so slices are id ranges
+        pts = self._bands(n) if ids.size == n else None
+        if pts is None:
+            return super()._map_vertices(fn, ids, state)
         keeps: list = [None] * (pts.size - 1)
 
-        def run_band(i: int) -> tuple[int, int, int, float]:
-            t0 = time.perf_counter()
-            lo, hi = int(pts[i]), int(pts[i + 1])
-            keeps[i] = fn(ids[lo:hi], state)
-            return lo, hi, 0, time.perf_counter() - t0
+        def run_band(i: int, lo: int, hi: int) -> int:
+            keeps[i] = fn(ids[lo:hi], state)  # dense: ids[k] == k
+            return 0
 
-        pool = _get_pool(self._workers)
-        futures = [pool.submit(run_band, i) for i in range(pts.size - 1)]
-        timings = [f.result() for f in futures]
-        self._note_chunk_timings("vertexmap", "-", timings)
-
+        self._fan_out("vertexmap", "-", pts, run_band)
         if all(k is None for k in keeps):
-            return frontier
+            return None
         if any(k is None for k in keeps):
             raise SimulationError(
                 "vertexmap filter must be consistent across chunks "
                 "(every chunk returns a mask, or every chunk returns None)"
             )
-        keep = np.concatenate([np.asarray(k, dtype=bool) for k in keeps])
-        if keep.shape != ids.shape:
-            raise SimulationError("vertexmap filter must match the active set")
-        return Frontier.from_ids(ids[keep], n)
+        return np.concatenate([np.asarray(k, dtype=bool) for k in keeps])

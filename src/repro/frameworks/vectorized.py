@@ -13,23 +13,26 @@ allowed to differ.
 
 Where the time goes, and what this engine does about it:
 
-* **Reduction kernels.**  The oracle scatters with ``np.ufunc.at``.
-  Here ``add`` reductions run through ``np.bincount(dsts, weights=vals)``
+* **One reduction kernel.**  The oracle scatters with ``np.ufunc.at``.
+  Here every step reduces through :func:`_reduce`, the only code that
+  picks a kernel: ``add`` runs through ``np.bincount(dsts, weights=vals)``
   — a sequential C loop that performs the *identical* float64 additions in
   the *identical* order as ``np.add.at`` (bit-equal by construction, which
   ``np.add.reduceat`` is **not**: it sums segments pairwise and drifts in
-  the last ulp) — and ``min``/``or`` reductions run through
-  ``np.minimum.reduceat`` / ``np.maximum.reduceat`` over destination
+  the last ulp) — and ``min``/``or`` over a stream grouped by destination
+  run through ``np.minimum.reduceat`` / ``np.maximum.reduceat`` over its
   segments, which is exact for order-insensitive reductions once a zero
   result takes the bits of its segment's last zero (the one tie whose
-  bits differ, ``+0.0`` against ``-0.0``).
+  bits differ, ``+0.0`` against ``-0.0``).  Everything else scatters with
+  ``ufunc.at``, like the oracle.
 * **Dense streams.**  A fully dense frontier touches every edge, so the
   active-edge streams are the graph's own CSC (pull) or CSR (push)
   streams.  The engine skips the boolean-mask compression entirely and
   reduces straight over the precomputed flat streams: pull segments are
-  delimited by the CSC offsets, push values are permuted once by a cached
-  destination-stable ``argsort`` of ``csr.adj`` and then reduced at the
-  same CSC segment starts.
+  delimited by the CSC offsets; push values are summed in CSR order, and
+  for ``min``/``or`` permuted once by a cached destination-stable
+  ``argsort`` of ``csr.adj`` and then reduced at the same CSC segment
+  starts.
 * **Dense work accounting.**  A dense step's trace record (per-partition
   edge/destination/source counters and the sampled stream-miss fractions)
   is a pure function of the graph layout, so it is built once and
@@ -72,16 +75,18 @@ Where the time goes, and what this engine does about it:
 
 Partial frontiers extract their active edges by mask compression (pull,
 and dense-class push) or row gathers (medium and sparse push, pull over
-candidates) — the oracle's edges in the oracle's order; their reductions
-use the segment kernels when the destination stream is sorted (pull) and
-``np.bincount`` or ``np.ufunc.at`` scatters otherwise (push), all of
-which are bit-equal.
+candidates) — the oracle's edges in the oracle's order.  A sorted
+destination stream (pull) hands :func:`_reduce` its segment heads; an
+unordered one (push, pull over unsorted candidates) hands none, so its
+``min``/``or`` scatter — sorting small irregular streams costs more than
+the scatter saves — and one touching under n/16 destinations reduces into
+a touched-indexed accumulator instead of an n-long one.
 
-The segment fast paths additionally require the reduction identity the
-kernels assume (``0.0`` for ``add``, ``+inf`` for ``min``, ``-inf`` for
-``or``); an :class:`~repro.frameworks.engine.EdgeOp` carrying any other
-identity silently falls back to the ``np.ufunc.at`` kernel on the same
-streams, keeping conformance unconditional.
+The ``bincount`` and segment kernels assume the identities ``+0.0``
+(``add``), ``+inf`` (``min``) and ``-inf`` (``or``); an
+:class:`~repro.frameworks.engine.EdgeOp` carrying any other identity
+takes the ``np.ufunc.at`` kernel on the same streams, keeping
+conformance unconditional.
 """
 
 from __future__ import annotations
@@ -99,12 +104,12 @@ from repro.frameworks.engine import (
     DIRECTION_THRESHOLD_DENOM,
     _MISS_SAMPLE,
     EdgeOp,
-    _stream_miss,
     gather_rows,
 )
 from repro.frameworks.frontier import DensityClass, Frontier
 from repro.frameworks.trace import IterationRecord, WorkTrace
 from repro.graph.csr import INDEX_DTYPE, Graph
+from repro.machine.locality import line_hit_fraction, reuse_window
 
 __all__ = ["VectorizedEngine"]
 
@@ -127,6 +132,48 @@ def _segment_reduce(ufunc, vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
         ends = np.append(starts[1:], vals.size)[zero_segments]
         reduced[zero_segments] = vals[zeros[np.searchsorted(zeros, ends) - 1]]
     return reduced
+
+
+def _segment_ufunc(op: EdgeOp):
+    """The ufunc :func:`_segment_reduce` reduces ``op`` with, or None:
+    ``np.minimum`` for ``min`` from ``+inf`` and ``np.maximum`` for ``or``
+    from ``-inf``, the identities the kernel assumes."""
+    if op.reduce == "min" and op.identity == np.inf:
+        return np.minimum
+    if op.reduce == "or" and op.identity == -np.inf:
+        return np.maximum
+    return None
+
+
+def _reduce(
+    op: EdgeOp,
+    dsts: np.ndarray,
+    vals: np.ndarray,
+    touched: np.ndarray,
+    starts: np.ndarray | None,
+    size: int,
+) -> np.ndarray:
+    """``vals`` reduced per destination by ``op``: one float64 value per
+    ``touched`` id; the only code that picks a reduction kernel.
+
+    ``dsts`` are ids in ``[0, size)`` and ``touched`` their sorted unique
+    set; ``starts`` are the segment heads of a stream grouped by
+    destination, or None.  ``vals`` is float64 (each caller casts its
+    gather once), so a float32 gather still reduces in float64, where
+    ``reduceat`` would keep its dtype.
+    """
+    segment = None if starts is None else _segment_ufunc(op)
+    if segment is not None:
+        return _segment_reduce(segment, vals, starts)
+    if op.reduce == "add" and _is_positive_zero(op.identity):
+        acc = np.bincount(dsts, weights=vals, minlength=size)
+    else:
+        acc = np.full(size, op.identity, dtype=np.float64)
+        ufunc = {"add": np.add, "min": np.minimum, "or": np.maximum}[op.reduce]
+        ufunc.at(acc, dsts, vals)
+    # Every slot touched (a compact remap, or every vertex): the
+    # accumulator already is the answer.
+    return acc if touched.size == size else acc[touched]
 
 
 class _SharedLayout:
@@ -263,7 +310,14 @@ class VectorizedEngine:
         self._vertex_part = shared.vertex_part
         #: CSC edge -> destination vertex.
         self._csc_dst = shared.csc_dst
-        #: The last ``(dsts, touched, part_edges)`` of :meth:`_dst_counts`.
+        #: The last ``(dsts, touched, part_edges)`` of :meth:`_dst_counts`,
+        #: so a step's accounting and its reduction share one count.
+        #: Handing the pair from one to the other explicitly instead
+        #: measured worse: PRD's minor page faults over the 16 Table III
+        #: (graph, ordering) pairs rose about eightfold, and keeping the
+        #: previous step's arrays alive brought them back.  The likely
+        #: cause is the allocator trimming the heap between steps once
+        #: nothing holds them.
         self._touched_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -307,13 +361,18 @@ class VectorizedEngine:
         filters the frontier."""
         self._record_vertexmap(frontier)
         ids = frontier.ids
-        keep = fn(ids, state)
+        keep = self._map_vertices(fn, ids, state)
         if keep is None:
             return frontier
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != ids.shape:
             raise SimulationError("vertexmap filter must match the active set")
         return Frontier.from_ids(ids[keep], self.graph.num_vertices)
+
+    def _map_vertices(self, fn, ids: np.ndarray, state: dict):
+        """``fn`` over the active ids.  The ``parallel`` backend overrides
+        this to run a dense vertexmap's bands concurrently."""
+        return fn(ids, state)
 
     # ------------------------------------------------------------------
     # Work accounting
@@ -328,21 +387,23 @@ class VectorizedEngine:
     _MISS_KEY_ENDS = 16
 
     def _stream_miss_pair(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple[float, float]:
-        """Memoized :func:`~repro.frameworks.engine._stream_miss`.
+        """Sampled miss fractions of one step's (source, destination)
+        streams, memoized per layout.
 
-        The measurement is a deterministic function of the two sampled
-        streams, and steps over one layout often repeat streams.  The memo
-        key is cheap (the stream length and the first and last
-        ``_MISS_KEY_ENDS`` elements of each stream), and an entry is used
-        only when both stored streams equal the queried ones element for
-        element, so streams that share a key but differ anywhere are
+        Both streams are sampled once, to their middle ``_MISS_SAMPLE``
+        elements, which bounds the measurement and the stored streams
+        alike.  The measurement is a deterministic function of the two
+        samples, and steps over one layout often repeat streams.  The memo
+        key is cheap (the sample length and the first and last
+        ``_MISS_KEY_ENDS`` elements of each sample), and an entry is used
+        only when both stored samples equal the queried ones element for
+        element, so samples that share a key but differ anywhere are
         measured and stored separately.  A FIFO byte budget over the
-        stored streams bounds retention.
+        stored samples bounds retention.
         """
+        if srcs.size == 0:
+            return 0.0, 0.0
         if srcs.size > _MISS_SAMPLE:
-            # Identical sampling to _stream_miss, applied up front so the
-            # stored streams (and their memory cost) are bounded;
-            # re-slicing inside _stream_miss is then a no-op.
             start = (srcs.size - _MISS_SAMPLE) // 2
             srcs = srcs[start : start + _MISS_SAMPLE]
             dsts = dsts[start : start + _MISS_SAMPLE]
@@ -354,7 +415,11 @@ class VectorizedEngine:
         for stored_srcs, stored_dsts, measured in entries:
             if np.array_equal(stored_srcs, srcs) and np.array_equal(stored_dsts, dsts):
                 return measured
-        measured = _stream_miss(srcs, dsts, self.graph.num_vertices)
+        window = reuse_window(self.graph.num_vertices)
+        measured = (
+            1.0 - line_hit_fraction(srcs, window=window),
+            1.0 - line_hit_fraction(dsts, window=window),
+        )
         entries.append((srcs.copy(), dsts.copy(), measured))
         shared.miss_memo_order.append(key)
         shared.miss_memo_bytes += srcs.nbytes + dsts.nbytes
@@ -566,53 +631,40 @@ class VectorizedEngine:
         self._touched_cache = (dsts, touched, part_edges)
         return touched, part_edges
 
-    @staticmethod
-    def _reduce_at(reduce: str, acc: np.ndarray, dsts: np.ndarray, vals: np.ndarray) -> None:
-        """Scatter-reduce ``vals`` into ``acc`` at ``dsts`` (``ufunc.at``)."""
-        # Reduce in the accumulator's dtype, explicitly.  ``ufunc.at``
-        # upcasts a float32 ``vals`` element-by-element, which happens to
-        # accumulate in float64 — but silently, and segment kernels
-        # (``np.bincount`` / ``reduceat``) would instead reduce in float32
-        # and diverge.  One explicit cast pins the contract for every
-        # kernel: arithmetic happens in ``acc.dtype``.
-        vals = np.asarray(vals, dtype=acc.dtype)
-        if reduce == "add":
-            np.add.at(acc, dsts, vals)
-        elif reduce == "min":
-            np.minimum.at(acc, dsts, vals)
-        else:  # "or"
-            np.maximum.at(acc, dsts, vals)
-
     def _finish_full(
         self, frontier: Frontier, op: EdgeOp, state: dict, direction: str
     ) -> Frontier:
         graph = self.graph
         shared = self._shared
-        n = graph.num_vertices
         if direction == "pull":
             srcs, dsts = graph.csc.adj, shared.csc_dst
         else:
             srcs, dsts = shared.csr_src, graph.csr.adj
         self._record_edgemap(direction, frontier, srcs, dsts)
         if dsts.size == 0:
-            return Frontier.empty(n)
-        vals = np.asarray(op.gather(srcs, dsts, state), dtype=np.float64)
+            return Frontier.empty(graph.num_vertices)
         touched = shared.full_touched
-        if op.reduce == "add" and _is_positive_zero(op.identity):
-            acc = np.bincount(dsts, weights=vals, minlength=n)
-            reduced = acc[touched]
-        elif op.reduce == "min" and op.identity == np.inf:
-            grouped = vals if direction == "pull" else vals[shared.push_perm]
-            reduced = _segment_reduce(np.minimum, grouped, shared.full_starts)
-        elif op.reduce == "or" and op.identity == -np.inf:
-            grouped = vals if direction == "pull" else vals[shared.push_perm]
-            reduced = _segment_reduce(np.maximum, grouped, shared.full_starts)
-        else:
-            acc = np.full(n, op.identity, dtype=np.float64)
-            self._reduce_at(op.reduce, acc, dsts, vals)
-            reduced = acc[touched]
+        reduced = self._reduce_full(op, state, direction, srcs, dsts)
         changed = op.apply(touched, reduced, state)
         return self._next_frontier(touched, changed)
+
+    def _reduce_full(
+        self, op: EdgeOp, state: dict, direction: str, srcs: np.ndarray, dsts: np.ndarray
+    ) -> np.ndarray:
+        """Gather and reduce a fully dense step's full stream: one value
+        per ``full_touched`` destination.  Only the segment kernel needs
+        the stream grouped by destination; pull is, and push values go
+        through ``push_perm`` for it alone (``bincount`` and ``ufunc.at``
+        take the CSR stream as it is).  The ``parallel`` backend overrides
+        this to reduce destination bands concurrently."""
+        shared = self._shared
+        vals = np.asarray(op.gather(srcs, dsts, state), dtype=np.float64)
+        starts = None
+        if _segment_ufunc(op) is not None:
+            starts = shared.full_starts
+            if direction == "push":
+                vals = vals[shared.push_perm]
+        return _reduce(op, dsts, vals, shared.full_touched, starts, self.graph.num_vertices)
 
     def _finish_sorted(
         self,
@@ -643,17 +695,7 @@ class VectorizedEngine:
         if dsts.size == 0:
             return Frontier.empty(graph.num_vertices)
         vals = np.asarray(op.gather(srcs, dsts, state), dtype=np.float64)
-        if op.reduce == "add" and _is_positive_zero(op.identity):
-            acc = np.bincount(dsts, weights=vals, minlength=graph.num_vertices)
-            reduced = acc[touched]
-        elif op.reduce == "min" and op.identity == np.inf:
-            reduced = _segment_reduce(np.minimum, vals, starts)
-        elif op.reduce == "or" and op.identity == -np.inf:
-            reduced = _segment_reduce(np.maximum, vals, starts)
-        else:
-            acc = np.full(graph.num_vertices, op.identity, dtype=np.float64)
-            self._reduce_at(op.reduce, acc, dsts, vals)
-            reduced = acc[touched]
+        reduced = _reduce(op, dsts, vals, touched, starts, graph.num_vertices)
         changed = op.apply(touched, reduced, state)
         return self._next_frontier(touched, changed)
 
@@ -668,37 +710,20 @@ class VectorizedEngine:
         density: DensityClass | None = None,
     ) -> Frontier:
         """Finish a step with an unordered destination stream (partial
-        push, or pull over unsorted candidates).  ``add`` still avoids
-        ``np.add.at`` via ``bincount`` (same sequential order);
-        ``min``/``or`` scatter with ``ufunc.at`` — sorting small
-        irregular streams costs more than the scatter saves."""
-        graph = self.graph
-        n = graph.num_vertices
+        push, or pull over unsorted candidates)."""
+        n = self.graph.num_vertices
         self._record_edgemap(direction, frontier, srcs, dsts, density)
         if dsts.size == 0:
             return Frontier.empty(n)
         vals = np.asarray(op.gather(srcs, dsts, state), dtype=np.float64)
         touched = self._dst_counts(dsts)[0]
-        if touched.size < n:
-            compact = touched.size * self._SPARSE_FACTOR < n
-        else:
-            compact = False
-        if compact:
+        ids, size = dsts, n
+        if touched.size * self._SPARSE_FACTOR < n:
             # Accumulate into a touched-indexed array: the remap preserves
             # the stream order, so every per-destination accumulation
             # happens in stream order, just without O(n) allocations on a
             # step touching a handful of vertices.
-            idx = np.searchsorted(touched, dsts)
-            if op.reduce == "add" and _is_positive_zero(op.identity):
-                reduced = np.bincount(idx, weights=vals, minlength=touched.size)
-            else:
-                reduced = np.full(touched.size, op.identity, dtype=np.float64)
-                self._reduce_at(op.reduce, reduced, idx, vals)
-        elif op.reduce == "add" and _is_positive_zero(op.identity):
-            reduced = np.bincount(dsts, weights=vals, minlength=n)[touched]
-        else:
-            acc = np.full(n, op.identity, dtype=np.float64)
-            self._reduce_at(op.reduce, acc, dsts, vals)
-            reduced = acc[touched]
+            ids, size = np.searchsorted(touched, dsts), touched.size
+        reduced = _reduce(op, ids, vals, touched, None, size)
         changed = op.apply(touched, reduced, state)
         return self._next_frontier(touched, changed)

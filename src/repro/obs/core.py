@@ -545,9 +545,26 @@ def _event(line) -> dict | None:
     return line if isinstance(line, dict) and line.get("v") == EVENT_VERSION else None
 
 
+def iter_writers(events) -> Iterator[tuple[tuple, dict]]:
+    """Each event with its writer, ``(pid, start)``: the start time that
+    the latest ``process_name`` line of its pid so far records, or 0 when
+    none does.  Two processes that held one pid in turn are two writers
+    (each numbers its events from seq 1); lines without a recorded start
+    (older logs) all belong to one writer per pid."""
+    starts: dict = {}
+    for evt in events:
+        pid = evt.get("pid", 0) if isinstance(evt, dict) else None
+        start = _recorded_start(evt)
+        if start is not None:
+            starts[pid] = start
+        yield (pid, starts.get(pid, 0)), evt
+
+
 def read_events(where: str | os.PathLike | None = None) -> list[dict]:
     """Every valid event line under the obs directory (or an explicit
-    file/directory), in (pid, seq) order.
+    file/directory), in (pid, writer start, seq) order: a process that
+    reused a dead writer's pid and appended to its file reads back after
+    it (:func:`iter_writers`, applied to each file in file order).
 
     Tolerant like every log reader in this repository
     (:func:`repro.store.appendlog.read_log`): undecodable lines (a write
@@ -560,14 +577,14 @@ def read_events(where: str | os.PathLike | None = None) -> list[dict]:
     if root is None:
         return []
     paths = [root] if root.is_file() else sorted(root.glob("events-*.jsonl"))
-    out: list[dict] = []
+    keyed: list[tuple[tuple, dict]] = []
     for path in paths:
         try:
-            out.extend(read_log(path, _event))
+            keyed.extend(iter_writers(read_log(path, _event)))
         except OSError:
             continue
-    out.sort(key=lambda e: (e.get("pid", 0), e.get("seq", 0)))
-    return out
+    keyed.sort(key=lambda kv: (kv[0], kv[1].get("seq", 0)))
+    return [evt for _, evt in keyed]
 
 
 def _pid_alive(pid: int) -> bool:
@@ -734,15 +751,15 @@ class ProgressHeartbeat:
 
 
 def iter_span_pairs(events: list[dict]) -> Iterator[tuple[dict, dict, int]]:
-    """Pair "B"/"E" events per (pid, tid) stack, yielding ``(begin, end,
-    duration_us)``.  Unclosed spans (a crashed process) are dropped —
-    timeline consumers render what completed."""
+    """Pair "B"/"E" events per (writer, tid) stack (:func:`iter_writers`),
+    yielding ``(begin, end, duration_us)``.  Unclosed spans (a crashed
+    process) are dropped — timeline consumers render what completed."""
     stacks: dict[tuple, list[dict]] = {}
-    for evt in events:
+    for writer, evt in iter_writers(events):
         ph = evt.get("ph")
         if ph not in ("B", "E"):
             continue
-        key = (evt.get("pid"), evt.get("tid"))
+        key = (writer, evt.get("tid"))
         if ph == "B":
             stacks.setdefault(key, []).append(evt)
         else:

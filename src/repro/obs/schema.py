@@ -34,7 +34,7 @@ write-only from the computation's point of view.
 
 from __future__ import annotations
 
-from repro.obs.core import EVENT_VERSION, PHASES
+from repro.obs.core import EVENT_VERSION, PHASES, iter_writers
 
 __all__ = ["EVENT_VERSION", "PHASES", "validate_event", "validate_events"]
 
@@ -81,12 +81,15 @@ def validate_event(evt: object) -> list[str]:
 
 def validate_events(events: list[dict]) -> list[str]:
     """Problems across a whole event list: per-event validity plus the
-    cross-event invariants (monotonic ts per (pid, tid), increasing seq
-    per pid)."""
+    cross-event invariants (monotonic ts per writer thread, increasing seq
+    per writer).  A writer is one process, a pid with the start time its
+    ``process_name`` line records (:func:`repro.obs.core.iter_writers`):
+    the checks restart when a later process that held the same pid
+    records its own start."""
     problems: list[str] = []
     last_ts: dict[tuple, int] = {}
-    last_seq: dict[int, int] = {}
-    for i, evt in enumerate(events):
+    last_seq: dict[tuple, int] = {}
+    for i, (writer, evt) in enumerate(iter_writers(events)):
         for problem in validate_event(evt):
             problems.append(f"event {i}: {problem}")
         if not isinstance(evt, dict):
@@ -95,16 +98,16 @@ def validate_events(events: list[dict]) -> list[str]:
             evt.get("pid"), evt.get("tid"), evt.get("ts"), evt.get("seq"),
         )
         if isinstance(ts, int) and isinstance(pid, int) and isinstance(tid, int):
-            key = (pid, tid)
+            key = (writer, tid)
             if key in last_ts and ts < last_ts[key]:
                 problems.append(
                     f"event {i}: ts {ts} < previous {last_ts[key]} on pid {pid} tid {tid}"
                 )
             last_ts[key] = ts
         if isinstance(seq, int) and isinstance(pid, int):
-            if pid in last_seq and seq <= last_seq[pid]:
+            if writer in last_seq and seq <= last_seq[writer]:
                 problems.append(
-                    f"event {i}: seq {seq} <= previous {last_seq[pid]} on pid {pid}"
+                    f"event {i}: seq {seq} <= previous {last_seq[writer]} on pid {pid}"
                 )
-            last_seq[pid] = seq
+            last_seq[writer] = seq
     return problems

@@ -26,7 +26,7 @@ from repro.frameworks.vectorized import VectorizedEngine
 from repro.graph import generators as gen
 from repro.partition.algorithm1 import chunk_boundaries
 
-from oracles import ReferenceEngine
+from oracles import ReferenceEngine, stream_miss_reference
 
 
 @pytest.fixture()
@@ -99,46 +99,37 @@ class TestSelection:
 
 
 class TestReduceDtypeContract:
-    """`VectorizedEngine._reduce_at` must reduce in the accumulator's dtype.
+    """Every backend reduces in float64, even when a gather returns
+    float32.
 
-    ``np.ufunc.at`` silently upcasts float32 values element-by-element;
-    segment kernels would otherwise reduce whole float32 segments at
-    float32 precision and diverge.  The explicit cast pins the contract
-    — these sums are chosen so float32 accumulation visibly loses bits.
+    ``np.ufunc.at`` into a float64 accumulator upcasts float32 values
+    element by element, but the segment kernel would reduce a float32
+    stream at float32 precision and diverge; the vectorized engine casts
+    each gather once, where its values come back.  The add sums are chosen
+    so float32 accumulation visibly loses bits.
     """
 
-    # 1.0 + 2**-30 + 2**-30: representable in float64 accumulation, lost
-    # entirely if the two small values are first rounded into a float32
-    # running sum.
-    VALS32 = np.array([1.0, 2**-30, 2**-30], dtype=np.float32)
+    ENGINES = {
+        "reference": ReferenceEngine,
+        "vectorized": VectorizedEngine,
+        "parallel": lambda g, b, t: ParallelEngine(g, b, t, workers=4, min_work=0),
+    }
 
-    def test_add_accumulates_in_float64(self):
-        acc = np.zeros(4, dtype=np.float64)
-        VectorizedEngine._reduce_at("add", acc, np.array([2, 2, 2]), self.VALS32)
-        expected = np.float64(1.0) + np.float64(np.float32(2**-30)) * 2
-        assert acc[2] == expected
-        assert acc[2] != np.float64(np.float32(1.0))  # bits were not lost
-
-    def test_min_and_or_cast_explicitly(self):
-        acc = np.full(3, np.inf)
-        VectorizedEngine._reduce_at(
-            "min", acc, np.array([1, 1]), np.array([3.0, 2.0], dtype=np.float32)
-        )
-        assert acc[1] == 2.0 and acc.dtype == np.float64
-        acc = np.full(3, -np.inf)
-        VectorizedEngine._reduce_at(
-            "or", acc, np.array([0, 0]), np.array([0.0, 1.0], dtype=np.float32)
-        )
-        assert acc[0] == 1.0 and acc.dtype == np.float64
-
-    @pytest.mark.parametrize("backend", ["reference", "vectorized", "parallel"])
-    def test_float32_gather_edgemap_matches_float64_math(self, graph, backend):
-        """End to end: a float32 gather produces the float64-accumulated
-        sums on every backend and on the oracle (previously uncovered: the
-        silent upcast was an accident of ufunc.at, not a tested contract)."""
+    @pytest.mark.parametrize("frontier_kind", ["full", "partial"])
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    @pytest.mark.parametrize("reduce", ["add", "min", "or"])
+    @pytest.mark.parametrize("backend", list(ENGINES))
+    def test_float32_gather_edgemap_matches_float64_math(
+        self, graph, backend, reduce, direction, frontier_kind
+    ):
+        """End to end, through every kernel a step can take: ``bincount``,
+        the segment kernel (dense, and sorted pull), ``ufunc.at``
+        (unordered push) and the parallel bands, on the oracle too."""
         n = graph.num_vertices
-        base = np.full(n, np.float32(2**-30), dtype=np.float32)
-
+        # 1.0 + 2**-30 + 2**-30 is exact in float64; a float32 running sum
+        # drops every 2**-30 added onto a 1.0.
+        base = np.full(n, 2**-30, dtype=np.float32)
+        base[::5] = 1.0
         captured = {}
 
         def gather(srcs, dsts, st):
@@ -150,12 +141,27 @@ class TestReduceDtypeContract:
             captured["reduced"] = reduced.copy()
             return np.zeros(touched.size, dtype=bool)
 
-        op = EdgeOp(gather=gather, reduce="add", apply=apply, identity=0.0)
-        eng = make_engine(graph, 4, "T", backend=backend)
-        eng.edgemap(Frontier.all_vertices(n), op, {}, direction="pull")
-        in_degs = graph.in_degrees()[captured["touched"]]
-        expected = in_degs.astype(np.float64) * np.float64(np.float32(2**-30))
-        assert np.array_equal(captured["reduced"], expected)
+        identity = {"add": 0.0, "min": np.inf, "or": -np.inf}[reduce]
+        op = EdgeOp(gather=gather, reduce=reduce, apply=apply, identity=identity)
+        frontier = (Frontier.all_vertices(n) if frontier_kind == "full"
+                    else Frontier.from_ids(np.arange(0, n, 3), n))
+        boundaries = chunk_boundaries(graph.in_degrees(), 16)
+        eng = self.ENGINES[backend](graph, boundaries, WorkTrace("f32", graph.name, 16))
+        eng.edgemap(frontier, op, {}, direction=direction)
+
+        srcs = np.repeat(np.arange(n), graph.out_degrees())
+        active = frontier.mask[srcs]
+        srcs, dsts = srcs[active], graph.csr.adj[active]
+        ufunc = {"add": np.add, "min": np.minimum, "or": np.maximum}[reduce]
+        expected = np.full(n, identity)
+        ufunc.at(expected, dsts, base[srcs].astype(np.float64))
+        touched = np.unique(dsts)
+        assert np.array_equal(captured["touched"], touched)
+        assert np.array_equal(captured["reduced"], expected[touched])
+        if reduce == "add":
+            lossy = np.zeros(n, dtype=np.float32)
+            np.add.at(lossy, dsts, base[srcs])
+            assert not np.array_equal(lossy[touched], expected[touched])  # bits were lost
 
 
 class TestStreamMissMemo:
@@ -181,15 +187,13 @@ class TestStreamMissMemo:
         return a, b
 
     def test_equal_ends_different_middles_measured_separately(self):
-        from repro.frameworks.engine import _stream_miss
-
         engine = self._engine()
         a, b = self._streams()
         n = engine.graph.num_vertices
         first = engine._stream_miss_pair(a, a[::-1].copy())
         second = engine._stream_miss_pair(b, b[::-1].copy())
-        assert first == _stream_miss(a, a[::-1], n)
-        assert second == _stream_miss(b, b[::-1], n)
+        assert first == stream_miss_reference(a, a[::-1], n)
+        assert second == stream_miss_reference(b, b[::-1], n)
         assert first != second
         # Both are stored under the one shared key and replay exactly.
         assert [len(v) for v in engine._shared.miss_memo.values()] == [2]

@@ -244,6 +244,29 @@ class TestRecycledPids:
         assert obs.merge_process_files(obs_dir) == 0
         assert path.exists()
 
+    def test_later_writer_of_a_pid_reads_back_after_the_first(self, tmp_path):
+        """Both writers of one pid number their events from seq 1; the
+        later one reads back after the earlier one and validates clean."""
+        from repro.obs.schema import validate_events
+
+        def line(seq, ts, ph, event, **args):
+            evt = {"v": core.EVENT_VERSION, "seq": seq, "ts": ts, "pid": 4242,
+                   "tid": 1, "ph": ph, "name": event, "cat": ""}
+            return {**evt, "args": args} if args else evt
+
+        first = [line(1, 100, "M", "process_name", name="repro", start=100),
+                 line(2, 101, "B", "a"), line(3, 102, "E", "a")]
+        later = [line(1, 900, "M", "process_name", name="repro", start=900),
+                 line(2, 901, "I", "b")]
+        path = tmp_path / "events-4242.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in first + later),
+                        encoding="utf-8")
+        events = obs.read_events(path)
+        assert events == first + later
+        assert validate_events(events) == []
+        assert [(b["name"], e["name"], d) for b, e, d in obs.iter_span_pairs(events)] == [
+            ("a", "a", 1)]
+
     def test_file_without_a_start_keeps_the_bare_pid_rule(self, obs_dir, live_writer):
         path = obs_dir / f"events-{live_writer.pid}.jsonl"
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
