@@ -13,7 +13,6 @@ import pytest
 from repro.experiments.runner import prepare, _measure_locality
 from repro.frameworks.personality import GRAPHGRIND
 from repro.machine.cost import DEFAULT_COST_MODEL, PartitionWork
-from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats, summarize
 
 from conftest import print_header
@@ -24,9 +23,7 @@ P = 384
 def partition_times(graph, ordering: str):
     prep = prepare(graph, ordering, P)
     g = prep.graph
-    b = prep.boundaries if prep.boundaries is not None else chunk_boundaries(
-        g.in_degrees(), P
-    )
+    b = prep.boundaries
     stats = compute_stats(g, b)
     loc = _measure_locality(g, "csc")
     work = PartitionWork.from_stats(stats, src_miss=loc[0], dst_miss=loc[1])

@@ -17,7 +17,6 @@ from repro.machine.cache import CacheSimulator, CacheConfig, TLB_CONFIG
 from repro.machine.counters import InstructionModel, ThreadCounters, mpki_table
 from repro.machine.cost import DEFAULT_COST_MODEL, PartitionWork
 from repro.machine.numa import PAPER_MACHINE
-from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
 
 from conftest import print_header
@@ -30,9 +29,7 @@ _LLC_SMALL = CacheConfig(num_sets=64, ways=8, name="LLC-scaled")
 def thread_counters(graph, ordering: str) -> tuple[list, np.ndarray]:
     prep = prepare(graph, ordering, P)
     g = prep.graph
-    b = prep.boundaries if prep.boundaries is not None else chunk_boundaries(
-        g.in_degrees(), P
-    )
+    b = prep.boundaries
     stats = compute_stats(g, b)
     loc = _measure_locality(g, "csc")
     work = PartitionWork.from_stats(stats, src_miss=loc[0], dst_miss=loc[1])

@@ -16,7 +16,6 @@ from repro.experiments.runner import prepare
 from repro.graph.coo import COOEdges
 from repro.machine.cost import DEFAULT_COST_MODEL, PartitionWork
 from repro.machine.locality import line_hit_fraction, reuse_window
-from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
 
 from conftest import print_header
@@ -27,9 +26,7 @@ P = 384
 def per_partition_times(graph, ordering: str, edge_order: str):
     prep = prepare(graph, ordering, P)
     g = prep.graph
-    b = prep.boundaries if prep.boundaries is not None else chunk_boundaries(
-        g.in_degrees(), P
-    )
+    b = prep.boundaries
     stats = compute_stats(g, b)
     # per-partition miss fractions measured from the partition's own edge
     # stream, in the chosen traversal order

@@ -13,7 +13,6 @@ import pytest
 from repro.algorithms import bfs
 from repro.experiments.runner import prepare
 from repro.metrics import format_table
-from repro.partition.algorithm1 import chunk_boundaries
 
 from conftest import print_header
 
@@ -23,9 +22,7 @@ P = 384
 def bfs_partition_distribution(graph, ordering: str):
     prep = prepare(graph, ordering, P)
     g = prep.graph
-    b = prep.boundaries if prep.boundaries is not None else chunk_boundaries(
-        g.in_degrees(), P
-    )
+    b = prep.boundaries
     src = int(prep.perm[int(np.argmax(graph.out_degrees()))])
     res = bfs(g, source=src, num_partitions=P, boundaries=b)
     return [r for r in res.trace.records if r.kind == "edgemap"]

@@ -15,7 +15,6 @@ from repro.experiments.runner import prepare
 from repro.machine.cache import CacheConfig, CacheSimulator, TLB_CONFIG
 from repro.machine.numa import PAPER_MACHINE
 from repro.metrics import format_table
-from repro.partition.algorithm1 import chunk_boundaries
 
 from conftest import print_header
 
@@ -28,9 +27,7 @@ def simulate_events(graph, ordering: str):
     vertexmap (block sweep over the vertex array)."""
     prep = prepare(graph, ordering, P)
     g = prep.graph
-    b = prep.boundaries if prep.boundaries is not None else chunk_boundaries(
-        g.in_degrees(), P
-    )
+    b = prep.boundaries
     homes = PAPER_MACHINE.partition_home_sockets(P)
     vert_home = np.repeat(homes, np.diff(b))
     n = g.num_vertices
@@ -112,9 +109,7 @@ def test_table5_engine_trace_matches_simulated_workload(twitter, ordering, bench
 
     prep = prepare(twitter, ordering, P)
     g = prep.graph
-    b = prep.boundaries if prep.boundaries is not None else chunk_boundaries(
-        g.in_degrees(), P
-    )
+    b = prep.boundaries
     engine = make_engine(g, P, "T5", boundaries=b)  # REPRO_BACKEND decides
     n = g.num_vertices
     op = EdgeOp(

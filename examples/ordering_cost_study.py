@@ -17,7 +17,6 @@ from repro.experiments import run
 from repro import store
 from repro.experiments.runner import prepare, _measure_locality
 from repro.metrics import format_table
-from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
 
 ORDERINGS = ["original", "degree-sort", "rcm", "gorder", "slashburn", "vebo"]
@@ -32,12 +31,7 @@ def main() -> None:
     for name in ORDERINGS:
         prep = prepare(graph, name, P)
         g = prep.graph
-        b = (
-            prep.boundaries
-            if prep.boundaries is not None
-            else chunk_boundaries(g.in_degrees(), P)
-        )
-        stats = compute_stats(g, b)
+        stats = compute_stats(g, prep.boundaries)
         src_miss, _ = _measure_locality(g, "csc")
         pr = run(graph, "PR", "graphgrind", ordering=name, prepared=prep,
                  num_iterations=10)

@@ -99,12 +99,12 @@ environment variables:
                         them eagerly; equivalent to --mmap
 
 Cached artifacts are content-addressed bundles under
-<cache root>/{graph,ordering,partition,edgeorder,trace}/ — one directory
-per artifact holding a manifest plus one mmap-friendly .npy file per
-array.  Single-file .npz bundles from older releases are not read (delete
-the cache root to reclaim their space); `datasets clean` removes only
-entries the cache itself wrote (verified by an embedded marker), never
-foreign files.
+<cache root>/{graph,ordering,trace}/ — one directory per artifact
+holding a manifest plus one mmap-friendly .npy file per array.
+Single-file .npz bundles and partition/ and edgeorder/ directories from
+older releases are neither read nor cleaned (delete them by hand to
+reclaim their space); `datasets clean` removes only entries the cache
+itself wrote (verified by an embedded marker), never foreign files.
 """
 
 
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dbuild = _leaf(
         dsub, "build", _cmd_datasets_build,
-        "build dataset graphs (and optionally orderings/partitions) "
+        "build dataset graphs (and optionally their VEBO orderings) "
         "into the artifact cache",
     )
     dbuild.add_argument(
@@ -200,11 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     dbuild.add_argument("--seed", type=int, default=12345, help="generator seed")
     dbuild.add_argument(
         "-p", "--partitions", type=int, default=None, metavar="P",
-        help="also build and cache a VEBO ordering + partition at P partitions",
-    )
-    dbuild.add_argument(
-        "--edge-order", default=None, metavar="ORDER",
-        help="also build and cache a COO edge order (hilbert, csr, csc, random)",
+        help="also build and cache the VEBO ordering a sweep at P "
+        "partitions reads",
     )
     dbuild.add_argument(
         "--refresh", action="store_true", help="rebuild even on a cache hit"
@@ -213,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     dclean = _leaf(dsub, "clean", _cmd_clean, "delete cache-owned artifact bundles")
     dclean.add_argument(
         "--kind", default=None,
-        choices=("graph", "ordering", "partition", "edgeorder", "trace"),
+        choices=("graph", "ordering", "trace"),
         help="restrict to one artifact family (default: all)",
     )
 
@@ -485,38 +482,29 @@ def _add_reorder_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_reorder(args) -> int:
+    from repro.experiments import prepare
     from repro.graph.io import read_adjacency_graph, write_adjacency_graph
-    from repro.ordering import apply_ordering, get_ordering
-    from repro.partition.algorithm1 import chunk_boundaries
     from repro.partition.stats import compute_stats
 
     t0 = time.perf_counter()
     graph = read_adjacency_graph(args.input)
     load_s = time.perf_counter() - t0
 
-    factory = get_ordering(args.algorithm)
-    kwargs = {"num_partitions": args.partitions} if args.algorithm == "vebo" else {}
-    result = factory(graph, **kwargs)
-    reordered = apply_ordering(graph, result)
-    write_adjacency_graph(reordered, args.output)
+    prep = prepare(graph, args.algorithm, args.partitions)
+    write_adjacency_graph(prep.graph, args.output)
 
     if not args.quiet:
-        boundaries = (
-            result.meta["boundaries"]
-            if args.algorithm == "vebo"
-            else chunk_boundaries(reordered.in_degrees(), args.partitions)
-        )
-        stats = compute_stats(reordered, boundaries)
+        stats = compute_stats(prep.graph, prep.boundaries)
         print(f"graph: {args.input}  n={graph.num_vertices} m={graph.num_edges}")
         print(f"load time:     {load_s:.3f}s")
-        print(f"reorder time:  {result.seconds:.3f}s ({args.algorithm})")
+        print(f"reorder time:  {prep.ordering_seconds:.3f}s ({args.algorithm})")
         print(f"partitions:    {args.partitions}")
         print(f"edge balance   Delta(n) = {stats.edge_imbalance()}")
         print(f"vertex balance delta(n) = {stats.vertex_imbalance()}")
         if args.track is not None:
             if 0 <= args.track < graph.num_vertices:
                 print(
-                    f"vertex {args.track} -> new id {int(result.perm[args.track])}"
+                    f"vertex {args.track} -> new id {int(prep.perm[args.track])}"
                 )
             else:
                 _log.error(f"vertex {args.track} out of range")
@@ -555,6 +543,8 @@ def _cmd_datasets_list(args) -> int:
 
 def _cmd_datasets_build(args) -> int:
     from repro import store
+    from repro.experiments import prepare
+    from repro.partition.stats import compute_stats
 
     cache = _resolve_cli_cache(args)
     cache_arg = cache if cache is not None else False
@@ -578,21 +568,15 @@ def _cmd_datasets_build(args) -> int:
         )
         if args.partitions:
             t1 = time.perf_counter()
-            pg = store.cached_partition(
-                graph, args.partitions, ordering="vebo",
-                cache=cache_arg, refresh=args.refresh,
+            prep = prepare(
+                graph, "vebo", args.partitions, cache=cache_arg, refresh=args.refresh
             )
+            stats = compute_stats(prep.graph, prep.boundaries)
             line += (
                 f"  vebo-partition(P={args.partitions}) "
                 f"{time.perf_counter() - t1:.3f}s "
-                f"Delta={pg.edge_imbalance()} delta={pg.vertex_imbalance()}"
+                f"Delta={stats.edge_imbalance()} delta={stats.vertex_imbalance()}"
             )
-        if args.edge_order:
-            t2 = time.perf_counter()
-            store.cached_edge_order(
-                graph, args.edge_order, cache=cache_arg, refresh=args.refresh
-            )
-            line += f"  edgeorder[{args.edge_order}] {time.perf_counter() - t2:.3f}s"
         _log.info(line)
     return status
 

@@ -62,25 +62,8 @@ EDGE_ORDERS: dict[str, Callable[..., COOEdges]] = {
 }
 
 
-def order_edges(
-    graph: Graph,
-    order: str,
-    cache: object = False,
-    refresh: bool = False,
-    **kwargs,
-) -> EdgeOrderResult:
-    """Produce the edge list of ``graph`` in the named order, timed.
-
-    ``cache`` opts into the :mod:`repro.store` artifact cache (pass an
-    :class:`~repro.store.cache.ArtifactCache`, or ``True``/``None`` for
-    the default cache); the default ``False`` always rebuilds, keeping
-    Table VI's reordering-cost measurements honest.  On a cache hit the
-    returned ``seconds`` is the *original* build cost, not the replay cost.
-    """
-    if cache is not False:
-        from repro.store import cached_edge_order
-
-        return cached_edge_order(graph, order, cache=cache, refresh=refresh, **kwargs)
+def order_edges(graph: Graph, order: str, **kwargs) -> EdgeOrderResult:
+    """Produce the edge list of ``graph`` in the named order, timed."""
     try:
         producer = EDGE_ORDERS[order]
     except KeyError:

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms import ALGORITHMS
+from repro.errors import ResultsError
 from repro.frameworks.personality import (
     FRAMEWORKS,
     FrameworkModel,
@@ -57,7 +58,7 @@ class PreparedGraph:
     ordering: str
     perm: np.ndarray              # original id -> new id
     orig_ids: np.ndarray          # new id -> original id
-    boundaries: np.ndarray | None  # VEBO's exact boundaries, else None
+    boundaries: np.ndarray        # int64[P + 1]: the Figure 2 partition cuts
     ordering_seconds: float
     locality: dict[str, tuple[float, float]] = field(default_factory=dict)
 
@@ -107,8 +108,6 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentResult":
-        from repro.errors import ResultsError
-
         try:
             return cls(
                 graph=str(data["graph"]),
@@ -199,7 +198,13 @@ def prepare(
     refresh: bool = False,
     **ordering_kwargs,
 ) -> PreparedGraph:
-    """Reorder ``graph`` and compute the permutation bookkeeping.
+    """Reorder ``graph`` and cut the new numbering into ``num_partitions``
+    destination chunks (the paper's Figure 2 pipeline).
+
+    VEBO runs at ``num_partitions`` and its own boundaries are the cuts;
+    every other ordering, and a VEBO result that carries no
+    ``num_partitions + 1`` boundaries, is cut by Algorithm 1's scan.  This
+    is the only code that applies that rule.
 
     ``cache`` opts the (expensive) ordering step into the
     :mod:`repro.store` artifact cache; content addressing on the graph's
@@ -217,9 +222,9 @@ def prepare(
     else:
         result = get_ordering(ordering)(graph, **ordering_kwargs)
     reordered = apply_ordering(graph, result)
-    boundaries = None
-    if ordering == "vebo":
-        boundaries = result.meta.get("boundaries")
+    boundaries = result.meta.get("boundaries", ()) if ordering == "vebo" else ()
+    if len(boundaries) != num_partitions + 1:
+        boundaries = chunk_boundaries(reordered.in_degrees(), num_partitions)
     return PreparedGraph(
         graph=reordered,
         ordering=ordering,
@@ -295,7 +300,8 @@ def execute(
     trace is persisted for every later run.  ``refresh=True`` skips the
     consult (re-execute and overwrite).  ``num_partitions`` defaults to
     the shared accounting granularity every framework personality prices
-    at.
+    at.  A ``prepared`` graph cut at another partition count raises
+    :class:`~repro.errors.ResultsError`.
 
     ``replay_only=True`` turns a trace-store miss into an error instead
     of an execution — the contract behind ``sweep reprice``, which
@@ -325,6 +331,12 @@ def _execute_inner(
     graph, algorithm, ordering_name, ordering, prepared, num_partitions,
     cache, traces, refresh, backend, replay_only, algo_kwargs,
 ) -> TraceExecution:
+    if prepared is not None and prepared.boundaries.size != num_partitions + 1:
+        raise ResultsError(
+            f"{graph.name}/{ordering_name} was prepared at "
+            f"P={prepared.boundaries.size - 1} but executes at "
+            f"P={num_partitions}; prepare it at the count it executes at"
+        )
     trace_store = None
     key = None
     if traces is not False:
@@ -343,8 +355,6 @@ def _execute_inner(
                     replayed=True,
                 )
     if replay_only:
-        from repro.errors import ResultsError
-
         where = (
             f"trace store at {trace_store.root}" if trace_store is not None
             else "disabled trace store"
@@ -358,11 +368,7 @@ def _execute_inner(
     if prepared is None:
         prepared = prepare(graph, ordering, num_partitions=num_partitions, cache=cache)
     g = prepared.graph
-
-    if prepared.boundaries is not None and prepared.boundaries.size == num_partitions + 1:
-        boundaries = prepared.boundaries
-    else:
-        boundaries = chunk_boundaries(g.in_degrees(), num_partitions)
+    boundaries = prepared.boundaries
 
     kwargs = dict(algo_kwargs)
     kwargs["num_partitions"] = num_partitions

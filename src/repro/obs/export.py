@@ -4,8 +4,14 @@ about://tracing).
 Our on-disk schema was designed within arm's reach of the trace-event
 spec, so export is nearly identity: ``B``/``E``/``I``/``C``/``M`` lines
 map to the phases of the same name, ``ts`` is already microseconds, and
-``pid``/``tid`` carry through.  Differences handled here:
+``tid`` carries through.  Differences handled here:
 
+* each writer (:func:`~repro.obs.core.iter_writers`) gets its own Chrome
+  ``pid``, so two processes that held one pid in turn land on two
+  tracks: the first writer of a pid keeps it, a later one gets
+  ``pid + k * 2**22`` (above Linux's pid ceiling) for the smallest
+  ``k >= 1`` no other writer uses, and its ``process_name`` names the
+  real pid;
 * instant events gain ``"s": "t"`` (thread scope) as the spec requires;
 * counter values move into ``args`` keyed by the counter name so the
   viewer draws a track per counter;
@@ -23,15 +29,35 @@ import json
 import os
 from pathlib import Path
 
-from repro.obs.core import read_events
+from repro.obs.core import iter_writers, read_events
 
 __all__ = ["to_chrome_trace", "export_chrome"]
 
 
+def _chrome_pids(writers: list[tuple]) -> dict[tuple, int]:
+    """One distinct Chrome pid per writer ``(pid, start)``, in first-seen
+    order: a pid's first writer keeps it, later ones move up in strides
+    of Linux's pid ceiling (``pid_max`` <= 2**22), so never onto a real pid."""
+    used = {pid for pid, _ in writers}
+    seen: set = set()
+    out: dict[tuple, int] = {}
+    for pid, start in writers:
+        mapped = pid
+        if pid in seen:
+            while mapped in used:
+                mapped += 1 << 22
+            used.add(mapped)
+        seen.add(pid)
+        out[(pid, start)] = mapped
+    return out
+
+
 def to_chrome_trace(events: list[dict]) -> dict:
     """Translate event-log lines to a trace-event JSON object."""
+    keyed = list(iter_writers(events))
+    pids = _chrome_pids(list(dict.fromkeys(writer for writer, _ in keyed)))
     out: list[dict] = []
-    for evt in events:
+    for writer, evt in keyed:
         ph = evt.get("ph")
         name = evt.get("name", "")
         args = evt.get("args") or {}
@@ -40,7 +66,7 @@ def to_chrome_trace(events: list[dict]) -> dict:
             "cat": evt.get("cat") or "repro",
             "ph": ph,
             "ts": evt.get("ts", 0),
-            "pid": evt.get("pid", 0),
+            "pid": pids[writer],
             "tid": evt.get("tid", 0),
         }
         if ph in ("B", "E"):
@@ -56,7 +82,10 @@ def to_chrome_trace(events: list[dict]) -> dict:
         elif ph == "M":
             base["ph"] = "M"
             base["name"] = name if name in ("process_name", "thread_name") else "process_name"
-            base["args"] = {"name": args.get("name", "repro")}
+            label = args.get("name", "repro")
+            if base["pid"] != writer[0]:
+                label = f"{label} (pid {writer[0]})"
+            base["args"] = {"name": label}
             base.pop("cat", None)
             base.pop("ts", None)
         else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,34 +71,6 @@ class PartitionedGraph:
     def stats(self) -> PartitionStats:
         """Per-partition edge/vertex/unique-endpoint counters (Figure 1)."""
         return compute_stats(self.graph, self.boundaries)
-
-    # ------------------------------------------------------------------
-    def save_npz(self, path: str | os.PathLike) -> None:
-        """Persist graph + boundaries as one npz bundle (the same encoding
-        the :mod:`repro.store` artifact cache uses)."""
-        from repro.store.serialization import pack_partition
-
-        np.savez_compressed(path, **pack_partition(self))
-
-    @classmethod
-    def load_npz(cls, path: str | os.PathLike) -> "PartitionedGraph":
-        """Load a partition written by :meth:`save_npz`."""
-        from repro.errors import CacheError
-        from repro.store.serialization import unpack_partition
-
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            raise CacheError(f"{path}: cannot read partition bundle: {exc}") from exc
-        try:
-            if not hasattr(data, "files"):
-                raise CacheError(f"{path}: not a partition bundle")
-            arrays = {name: data[name] for name in data.files}
-        finally:
-            close = getattr(data, "close", None)
-            if close is not None:
-                close()
-        return unpack_partition(arrays)
 
     # ------------------------------------------------------------------
     def edge_imbalance(self) -> int:

@@ -1,12 +1,15 @@
 """``repro.store`` — dataset registry + on-disk artifact cache.
 
 The store is the warm path under every benchmark and example: graphs,
-VEBO (or baseline) orderings, chunk partitions, COO edge orders and
-execution traces (:mod:`repro.store.traces`) are deterministic functions
-of a dataset spec and build parameters, so the store builds each
-artifact once, persists it as a per-array ``.npy`` sidecar bundle keyed
-by a content hash (:mod:`repro.store.cache`), and replays it from disk on
-every later request — zero-copy via ``mmap`` when ``REPRO_MMAP=1``.
+VEBO (or baseline) orderings and execution traces
+(:mod:`repro.store.traces`) are deterministic functions of a dataset spec
+and build parameters, so the store builds each artifact once, persists it
+as a per-array ``.npy`` sidecar bundle keyed by a content hash
+(:mod:`repro.store.cache`), and replays it from disk on every later
+request — zero-copy via ``mmap`` when ``REPRO_MMAP=1``.  Partition cuts
+are not stored on their own: :func:`repro.experiments.prepare` takes
+VEBO's from its stored ordering and runs Algorithm 1's O(n) scan for
+every other ordering.
 
 Quickstart
 ----------
@@ -14,7 +17,6 @@ Quickstart
 >>> g = store.load_graph("twitter", scale=0.1)     # built, then cached
 >>> g2 = store.load_graph("twitter", scale=0.1)    # loaded from disk
 >>> order = store.cached_ordering(g, "vebo", num_partitions=384)
->>> pg = store.cached_partition(g, 384, ordering="vebo")
 
 ``cache=`` on every function accepts an explicit
 :class:`~repro.store.cache.ArtifactCache`, ``None``/``True`` (the default
@@ -25,9 +27,8 @@ cache, honouring ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_OFF``), or ``False``
 from __future__ import annotations
 
 from repro import obs
-from repro.edgeorder.orders import EdgeOrderResult
 from repro.graph.csr import Graph
-from repro.ordering.base import OrderingResult, apply_ordering, get_ordering
+from repro.ordering.base import OrderingResult, get_ordering
 from repro.store.cache import (
     ARTIFACT_KINDS,
     BUNDLE_VERSION,
@@ -87,9 +88,7 @@ __all__ = [
     "available_datasets",
     "build_graph_from_chunks",
     "build_graph_from_shard_files",
-    "cached_edge_order",
     "cached_ordering",
-    "cached_partition",
     "default_cache",
     "default_cache_root",
     "get_dataset",
@@ -168,78 +167,3 @@ def cached_ordering(
             unpack=ser.unpack_ordering,
         )
         return result
-
-
-def cached_partition(
-    graph: Graph,
-    num_partitions: int,
-    *,
-    ordering: str | None = None,
-    cache: ArtifactCache | bool | None = None,
-    refresh: bool = False,
-    **ordering_kwargs,
-):
-    """Build (or replay) a :class:`PartitionedGraph` of ``graph``.
-
-    ``ordering=None`` partitions the graph as-is with Algorithm 1's scan;
-    an ordering name first reorders the graph (``"vebo"`` partitions at
-    VEBO's own boundaries, the paper's Figure 2 pipeline).
-    """
-    from repro.partition.algorithm1 import partition_by_destination
-
-    def build():
-        if ordering is None:
-            pg = partition_by_destination(graph, num_partitions)
-        else:
-            kwargs = dict(ordering_kwargs)
-            if ordering == "vebo":
-                kwargs.setdefault("num_partitions", num_partitions)
-            result = get_ordering(ordering)(graph, **kwargs)
-            reordered = apply_ordering(graph, result)
-            boundaries = result.meta.get("boundaries") if ordering == "vebo" else None
-            if boundaries is not None and boundaries.size != num_partitions + 1:
-                boundaries = None
-            pg = partition_by_destination(reordered, num_partitions, boundaries=boundaries)
-        return pg
-
-    resolved = resolve_cache(cache)
-    if resolved is None:
-        return build()
-    payload = {
-        **_graph_key_payload(graph),
-        "num_partitions": int(num_partitions),
-        "ordering": ordering,
-        "kwargs": ordering_kwargs,
-    }
-    key = artifact_key("partition", payload)
-    pg, _hit = resolved.get_or_build(
-        "partition", key, lambda: ser.pack_partition(build()),
-        refresh=refresh, unpack=ser.unpack_partition,
-    )
-    return pg
-
-
-def cached_edge_order(
-    graph: Graph,
-    order: str,
-    *,
-    cache: ArtifactCache | bool | None = None,
-    refresh: bool = False,
-    **kwargs,
-) -> EdgeOrderResult:
-    """Produce (or replay) the COO edge list of ``graph`` in ``order``."""
-    from repro.edgeorder.orders import order_edges
-
-    resolved = resolve_cache(cache)
-    if resolved is None:
-        return order_edges(graph, order, **kwargs)
-    payload = {**_graph_key_payload(graph), "order": order, "kwargs": kwargs}
-    key = artifact_key("edgeorder", payload)
-    result, _hit = resolved.get_or_build(
-        "edgeorder",
-        key,
-        lambda: ser.pack_edge_order(order_edges(graph, order, **kwargs)),
-        refresh=refresh,
-        unpack=ser.unpack_edge_order,
-    )
-    return result

@@ -1,14 +1,13 @@
 """Content-addressed on-disk artifact cache.
 
-Building the evaluation graphs, running VEBO, and producing Hilbert edge
-orders dominate the wall-clock cost of the benchmark harness — the paper's
-own Figure 1 measures partitioning alone at a large fraction of end-to-end
-runtime.  All of those artifacts are deterministic functions of (a) a
+Building the evaluation graphs, running the vertex orderings and
+executing the algorithms dominate the wall-clock cost of the benchmark
+harness.  All of those artifacts are deterministic functions of (a) a
 dataset/graph identity and (b) the build parameters, so they are perfect
 candidates for a content-addressed cache: the cache *key* is a SHA-256
 digest over a canonical JSON encoding of the identifying payload, and the
 cache *value* is a bundle of numpy arrays (see
-:mod:`repro.store.serialization`).
+:mod:`repro.store.serialization` and :mod:`repro.store.traces`).
 
 Bundle format v2 (current)
 --------------------------
@@ -21,8 +20,6 @@ per array plus a JSON manifest::
             a0000.npy           first array
             a0001.npy           ...
         ordering/<40-hex-key>/...
-        partition/<40-hex-key>/...
-        edgeorder/<40-hex-key>/...
         trace/<40-hex-key>/...
 
 Plain ``.npy`` members are what makes the warm path *zero-copy*: unlike a
@@ -36,7 +33,8 @@ deleting it; foreign files inside the cache root are never touched.  The
 monolithic ``<key>.npz`` archives of bundle format v1 are no longer read:
 one left over in a cache root is a foreign file, so its key is a clean
 miss that rebuilds a v2 bundle beside it (delete the cache root to
-reclaim the space).
+reclaim the space).  The ``partition/`` and ``edgeorder/`` directories of
+older releases are no longer read or cleaned either; delete them by hand.
 
 Read-only contract
 ------------------
@@ -98,7 +96,7 @@ MAGIC_VALUE_V2 = "repro-artifact-v2"
 BUNDLE_VERSION = 2
 
 #: The artifact families the cache knows how to segregate on disk.
-ARTIFACT_KINDS = ("graph", "ordering", "partition", "edgeorder", "trace")
+ARTIFACT_KINDS = ("graph", "ordering", "trace")
 
 #: Environment gate for memory-mapped loads (``--mmap`` on the CLI).
 MMAP_ENV_VAR = "REPRO_MMAP"
@@ -149,9 +147,9 @@ def artifact_key(kind: str, payload: dict) -> str:
 def array_fingerprint(*arrays: np.ndarray) -> str:
     """SHA-256 over the dtype/shape/bytes of one or more arrays.
 
-    This is what makes derived artifacts (orderings, partitions, edge
-    orders) *content*-addressed: they key on the actual graph arrays, so a
-    cached VEBO run can never be replayed against a different graph.
+    This is what makes derived artifacts (orderings, traces)
+    *content*-addressed: they key on the actual graph arrays, so a cached
+    VEBO run can never be replayed against a different graph.
     Works unchanged on memory-mapped inputs (reading pages on demand).
     """
     h = hashlib.sha256()

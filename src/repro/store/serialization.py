@@ -8,16 +8,14 @@ diagnostics) rides along in a single JSON string array under
 ``"meta_json"`` so bundles stay ``allow_pickle=False`` safe.  The unpack
 functions accept read-only (including memory-mapped) arrays: they only
 read their inputs, and the containers they build re-validate and expose
-the arrays read-only.  Four artifact families are supported, mirroring
-the cache kinds:
+the arrays read-only.  Two artifact families are packed here, mirroring
+their cache kinds (traces pack in :mod:`repro.store.traces`):
 
 =============  ======================================  =====================
 kind           packs                                   unpacks to
 =============  ======================================  =====================
 ``graph``      CSR offsets + adjacency + name          :class:`Graph`
 ``ordering``   permutation + meta + timing             :class:`OrderingResult`
-``partition``  graph + boundaries                      :class:`PartitionedGraph`
-``edgeorder``  COO src/dst + order name + timing       :class:`EdgeOrderResult`
 =============  ======================================  =====================
 
 Round-trips are bit-identical: the CSR/CSC builders canonicalize edge
@@ -34,7 +32,6 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.errors import CacheError
-from repro.graph.coo import COOEdges
 from repro.graph.csr import CSRMatrix, Graph
 
 __all__ = [
@@ -43,10 +40,6 @@ __all__ = [
     "unpack_graph",
     "pack_ordering",
     "unpack_ordering",
-    "pack_partition",
-    "unpack_partition",
-    "pack_edge_order",
-    "unpack_edge_order",
 ]
 
 
@@ -171,65 +164,4 @@ def unpack_ordering(arrays: dict):
         algorithm=meta_blob.get("algorithm", "unknown"),
         seconds=float(meta_blob.get("seconds", 0.0)),
         meta=meta,
-    )
-
-
-# ----------------------------------------------------------------------
-# partition
-# ----------------------------------------------------------------------
-
-def pack_partition(pg) -> dict[str, np.ndarray]:
-    """Pack a :class:`repro.partition.partitioned.PartitionedGraph`."""
-    arrays = pack_graph(pg.graph)
-    arrays["boundaries"] = pg.boundaries
-    arrays["meta_json"] = _meta_to_array(
-        {"kind": "partition", "name": pg.graph.name}
-    )
-    return arrays
-
-
-def unpack_partition(arrays: dict):
-    from repro.partition.partitioned import PartitionedGraph
-
-    (boundaries,) = _require(arrays, "boundaries")
-    graph = unpack_graph(arrays)
-    return PartitionedGraph(graph=graph, boundaries=boundaries)
-
-
-# ----------------------------------------------------------------------
-# edge order
-# ----------------------------------------------------------------------
-
-def pack_edge_order(result) -> dict[str, np.ndarray]:
-    """Pack an :class:`repro.edgeorder.orders.EdgeOrderResult`."""
-    coo = result.coo
-    return {
-        "src": coo.src,
-        "dst": coo.dst,
-        "meta_json": _meta_to_array(
-            {
-                "kind": "edgeorder",
-                "num_vertices": int(coo.num_vertices),
-                "order_name": coo.order_name,
-                "order": result.order,
-                "seconds": float(result.seconds),
-            }
-        ),
-    }
-
-
-def unpack_edge_order(arrays: dict):
-    from repro.edgeorder.orders import EdgeOrderResult
-
-    src, dst = _require(arrays, "src", "dst")
-    meta = _meta_from_arrays(arrays)
-    coo = COOEdges(
-        src=src,
-        dst=dst,
-        num_vertices=int(meta["num_vertices"]),
-        order_name=meta.get("order_name", "unspecified"),
-    )
-    return EdgeOrderResult(
-        coo=coo, order=meta.get("order", coo.order_name),
-        seconds=float(meta.get("seconds", 0.0)),
     )

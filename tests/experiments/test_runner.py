@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.experiments import prepare, run
+from repro.errors import ResultsError
+from repro.experiments import execute, prepare, run
 from repro.graph import generators as gen
 from repro.graph.io import write_adjacency_graph, read_adjacency_graph
+from repro.partition.algorithm1 import chunk_boundaries
 
 
 @pytest.fixture(scope="module")
@@ -20,17 +22,25 @@ def g():
 class TestPrepare:
     def test_vebo_has_boundaries(self, g):
         prep = prepare(g, "vebo", 48)
-        assert prep.boundaries is not None
         assert prep.boundaries.size == 49
 
     def test_original_identity(self, g):
         prep = prepare(g, "original", 48)
         assert np.array_equal(prep.perm, np.arange(g.num_vertices))
-        assert prep.boundaries is None
+        assert np.array_equal(
+            prep.boundaries, chunk_boundaries(prep.graph.in_degrees(), 48)
+        )
 
     def test_orig_ids_invert_perm(self, g):
         prep = prepare(g, "random", 48)
         assert np.array_equal(prep.perm[prep.orig_ids], np.arange(g.num_vertices))
+
+
+class TestExecute:
+    def test_prepared_at_another_count_raises(self, g):
+        prep = prepare(g, "vebo", 8)
+        with pytest.raises(ResultsError, match="P=8"):
+            execute(g, "CC", prepared=prep, num_partitions=16)
 
 
 class TestRun:

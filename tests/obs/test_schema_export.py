@@ -94,3 +94,30 @@ class TestChromeExport:
         out = tmp_path / "trace.json"
         assert export_chrome(out, tmp_path / "nowhere") == 0
         assert json.loads(out.read_text(encoding="utf-8"))["traceEvents"] == []
+
+    def test_two_writers_of_one_pid_get_two_tracks(self, tmp_path):
+        """A dead writer's unclosed span must not enclose the spans of the
+        process that later held its pid: each writer is its own track."""
+        from repro.obs import core
+
+        def line(seq, ts, ph, event, **args):
+            evt = {"v": core.EVENT_VERSION, "seq": seq, "ts": ts, "pid": 4242,
+                   "tid": 1, "ph": ph, "name": event, "cat": ""}
+            return {**evt, "args": args} if args else evt
+
+        writer_a = [line(1, 100, "M", "process_name", name="repro", start=100),
+                    line(2, 101, "B", "killed")]
+        writer_b = [line(1, 900, "M", "process_name", name="repro", start=900),
+                    line(2, 901, "B", "b"), line(3, 902, "E", "b")]
+        path = tmp_path / "events-4242.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in writer_a + writer_b),
+                        encoding="utf-8")
+        out = to_chrome_trace(obs.read_events(path))["traceEvents"]
+        assert len(out) == 5
+        pid_a = {e["pid"] for e in out if e["name"] == "killed"}
+        pid_b = {e["pid"] for e in out if e["name"] == "b"}
+        assert pid_a == {4242}
+        assert len(pid_b) == 1 and pid_b != pid_a
+        names = {e["pid"]: e["args"]["name"] for e in out if e["ph"] == "M"}
+        assert set(names) == pid_a | pid_b
+        assert "4242" in names[pid_b.pop()]

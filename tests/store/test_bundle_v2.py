@@ -5,9 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.edgeorder.orders import order_edges
 from repro.ordering import get_ordering
-from repro.partition.algorithm1 import partition_by_destination
 from repro.store import serialization as ser
 from repro.store.cache import (
     ArtifactCache,
@@ -33,8 +31,6 @@ def _pack_all_kinds(graph):
     from repro.experiments.runner import execute
 
     ordering = get_ordering("vebo")(graph, num_partitions=8)
-    pg = partition_by_destination(graph, 8)
-    eo = order_edges(graph, "csr")
     execution = execute(graph, "CC", ordering="original", num_partitions=8,
                         cache=False, traces=False)
     from repro.store.traces import pack_trace
@@ -42,8 +38,6 @@ def _pack_all_kinds(graph):
     return {
         "graph": ser.pack_graph(graph),
         "ordering": ser.pack_ordering(ordering),
-        "partition": ser.pack_partition(pg),
-        "edgeorder": ser.pack_edge_order(eo),
         "trace": pack_trace(execution.trace, execution.iterations),
     }
 
@@ -143,9 +137,7 @@ class TestReadOnlyContract:
         )
         return _pack_all_kinds(graph)
 
-    @pytest.mark.parametrize(
-        "kind", ["graph", "ordering", "partition", "edgeorder", "trace"]
-    )
+    @pytest.mark.parametrize("kind", ["graph", "ordering", "trace"])
     def test_load_returns_read_only(self, cache, kind_bundles, kind):
         cache.store(kind, "e" * 40, kind_bundles[kind])
         out = cache.load(kind, "e" * 40)
@@ -155,9 +147,7 @@ class TestReadOnlyContract:
             with pytest.raises((ValueError, RuntimeError)):
                 arr[...] = 0
 
-    @pytest.mark.parametrize(
-        "kind", ["graph", "ordering", "partition", "edgeorder", "trace"]
-    )
+    @pytest.mark.parametrize("kind", ["graph", "ordering", "trace"])
     def test_load_mmap_read_only_and_bit_identical(
         self, cache, kind_bundles, kind, mmap_on
     ):
@@ -219,13 +209,10 @@ class TestMmapEndToEnd:
         monkeypatch.delenv("REPRO_MMAP", raising=False)
         graph = store.load_graph("usaroad", scale=0.05)
         ordering = store.cached_ordering(graph, "vebo", num_partitions=8)
-        pg = store.cached_partition(graph, 8, ordering=None)
         monkeypatch.setenv("REPRO_MMAP", "1")
         graph_m = store.load_graph("usaroad", scale=0.05)
         ordering_m = store.cached_ordering(graph_m, "vebo", num_partitions=8)
-        pg_m = store.cached_partition(graph_m, 8, ordering=None)
         assert np.array_equal(np.asarray(ordering_m.perm), ordering.perm)
-        assert np.array_equal(np.asarray(pg_m.boundaries), pg.boundaries)
         # VEBO on a borrowed mmapped graph must also *recompute* identically.
         recomputed = get_ordering("vebo")(graph_m, num_partitions=8)
         assert np.array_equal(np.asarray(recomputed.perm), ordering.perm)

@@ -6,9 +6,6 @@ import pytest
 from repro.errors import CacheError
 from repro.graph import generators as gen
 from repro.ordering import get_ordering
-from repro.partition.algorithm1 import partition_by_destination
-from repro.partition.partitioned import PartitionedGraph
-from repro.edgeorder.orders import order_edges
 from repro.store import serialization as ser
 from repro.store.cache import (
     ArtifactCache,
@@ -89,34 +86,6 @@ class TestBundleRoundTrips:
             else:
                 assert out.meta[key] == value, key
 
-    def test_partition_bit_identical(self, cache, small_social):
-        pg = partition_by_destination(small_social, 8)
-        out = ser.unpack_partition(
-            self._store_load(cache, "partition", ser.pack_partition(pg))
-        )
-        assert np.array_equal(out.boundaries, pg.boundaries)
-        assert np.array_equal(out.graph.csr.adj, pg.graph.csr.adj)
-        assert np.array_equal(out.graph.csc.adj, pg.graph.csc.adj)
-
-    def test_edge_order_bit_identical(self, cache, small_social):
-        result = order_edges(small_social, "hilbert")
-        out = ser.unpack_edge_order(
-            self._store_load(cache, "edgeorder", ser.pack_edge_order(result))
-        )
-        assert np.array_equal(out.coo.src, result.coo.src)
-        assert np.array_equal(out.coo.dst, result.coo.dst)
-        assert out.coo.num_vertices == result.coo.num_vertices
-        assert out.coo.order_name == "hilbert"
-        assert out.seconds == pytest.approx(result.seconds)
-
-    def test_partitioned_graph_save_load_npz(self, tmp_path, small_grid):
-        pg = partition_by_destination(small_grid, 4)
-        path = tmp_path / "pg.npz"
-        pg.save_npz(path)
-        out = PartitionedGraph.load_npz(path)
-        assert np.array_equal(out.boundaries, pg.boundaries)
-        assert np.array_equal(out.graph.csr.adj, pg.graph.csr.adj)
-
 
 class TestCacheBehaviour:
     def test_miss_returns_none(self, cache):
@@ -175,9 +144,7 @@ class TestCacheBehaviour:
         assert cache.load("graph", "b" * 40) is None
         assert not path.exists()
 
-    @pytest.mark.parametrize("kind,member", [
-        ("graph", "adj"), ("ordering", "perm"), ("partition", "boundaries"),
-        ("edgeorder", "src")])
+    @pytest.mark.parametrize("kind,member", [("graph", "adj"), ("ordering", "perm")])
     def test_bundle_unpack_rejects_is_rebuilt_then_hit(self, cache, small_social,
                                                        kind, member):
         """A bundle whose manifest parses but whose arrays the kind's
@@ -191,8 +158,6 @@ class TestCacheBehaviour:
             "graph": lambda: store.load_graph("usaroad", scale=0.02, cache=cache),
             "ordering": lambda: store.cached_ordering(small_social, "vebo", cache=cache,
                                                       num_partitions=8),
-            "partition": lambda: store.cached_partition(small_social, 8, cache=cache),
-            "edgeorder": lambda: store.cached_edge_order(small_social, "csr", cache=cache),
         }[kind]
         load()
         [(_, key, _)] = [e for e in cache.entries() if e[0] == kind]

@@ -34,13 +34,41 @@ class TestDatasetsCommands:
         assert "removed 1 artifact" in out
 
     def test_build_with_partition_and_edge_order(self, cache_dir, capsys):
-        code = main([
-            "datasets", "build", "usaroad", "--scale", "0.05",
-            "-p", "8", "--edge-order", "csr",
-        ])
+        code = main(["datasets", "build", "usaroad", "--scale", "0.05", "-p", "8"])
         assert code == 0
         kinds = {p.parent.parent.name for p in cache_dir.rglob("manifest.json")}
-        assert kinds == {"graph", "partition", "edgeorder"}
+        assert kinds == {"graph", "ordering"}
+        assert "vebo-partition(P=8)" in capsys.readouterr().out
+
+    def test_partitions_flag_warms_the_ordering_prepare_reads(
+        self, cache_dir, capsys, monkeypatch
+    ):
+        from repro import store
+        from repro.experiments import prepare
+        from repro.ordering.base import ORDERING_REGISTRY
+
+        assert main(["datasets", "build", "twitter", "--scale", "0.05", "-p", "8"]) == 0
+        runs = []
+        vebo = ORDERING_REGISTRY["vebo"]
+        monkeypatch.setitem(
+            ORDERING_REGISTRY, "vebo", lambda *a, **k: runs.append(k) or vebo(*a, **k)
+        )
+        cache = store.ArtifactCache(cache_dir)
+        graph = store.load_graph("twitter", scale=0.05, seed=12345, cache=cache)
+        prep = prepare(graph, "vebo", 8, cache=cache)
+        assert runs == []
+        assert prep.boundaries.size == 9
+        kinds = {p.parent.parent.name for p in cache_dir.rglob("manifest.json")}
+        assert kinds == {"graph", "ordering"}
+
+    def test_clean_kind_offers_only_stored_kinds(self, cache_dir, capsys):
+        for kind in ("partition", "edgeorder"):
+            with pytest.raises(SystemExit) as exc:
+                main(["datasets", "clean", "--kind", kind])
+            assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["datasets", "build", "--help"])
+        assert "--edge-order" not in capsys.readouterr().out
 
     def test_build_custom_dataset_without_scale_seed_params(self, cache_dir, capsys):
         from repro.graph import generators as gen
@@ -141,6 +169,36 @@ class TestLegacyReorder:
         assert main(["reorder", str(inp), str(out), "-p", "8"]) == 0
         report = capsys.readouterr().out
         assert "edge balance" in report
+
+    @pytest.mark.parametrize("algorithm", ["vebo", "rcm"])
+    def test_reorder_output_is_pinned(self, tmp_path, capsys, algorithm):
+        """The written graph is the ordering applied to the input, and the
+        balance lines are those of VEBO's own cuts (vebo) or Algorithm 1's
+        (every other ordering)."""
+        from repro.ordering import apply_ordering, get_ordering
+        from repro.partition.algorithm1 import chunk_boundaries
+        from repro.partition.stats import compute_stats
+
+        _, inp = self._write_graph(tmp_path)
+        out = tmp_path / "out.adj"
+        assert main(["reorder", str(inp), str(out), "-p", "8", "-a", algorithm]) == 0
+        report = capsys.readouterr().out
+
+        g = read_adjacency_graph(inp)
+        kwargs = {"num_partitions": 8} if algorithm == "vebo" else {}
+        result = get_ordering(algorithm)(g, **kwargs)
+        reordered = apply_ordering(g, result)
+        expected = tmp_path / "expected.adj"
+        write_adjacency_graph(reordered, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+        if algorithm == "vebo":
+            boundaries = result.meta["boundaries"]
+        else:
+            boundaries = chunk_boundaries(reordered.in_degrees(), 8)
+        stats = compute_stats(reordered, boundaries)
+        assert f"edge balance   Delta(n) = {stats.edge_imbalance()}\n" in report
+        assert f"vertex balance delta(n) = {stats.vertex_imbalance()}\n" in report
 
     def test_help_epilog_documents_cache_env_vars(self, capsys):
         with pytest.raises(SystemExit):

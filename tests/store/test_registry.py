@@ -187,28 +187,6 @@ class TestDerivedArtifacts:
         store.cached_ordering(small_grid, "vebo", num_partitions=8, cache=cache)
         assert len([e for e in cache.entries() if e[0] == "ordering"]) == 2
 
-    def test_cached_partition_matches_direct(self, cache, small_social):
-        from repro.ordering import apply_ordering, vebo
-        from repro.partition import partition_by_destination
-
-        pg = store.cached_partition(small_social, 8, ordering="vebo", cache=cache)
-        order = vebo(small_social, num_partitions=8)
-        direct = partition_by_destination(
-            apply_ordering(small_social, order), 8,
-            boundaries=order.meta["boundaries"],
-        )
-        assert np.array_equal(pg.boundaries, direct.boundaries)
-        assert pg.graph.csr == direct.graph.csr
-
-    def test_cached_edge_order_via_order_edges(self, cache, small_social):
-        from repro.edgeorder import order_edges
-
-        r1 = order_edges(small_social, "hilbert", cache=cache)
-        r2 = order_edges(small_social, "hilbert", cache=cache)
-        assert np.array_equal(r1.coo.src, r2.coo.src)
-        assert r2.seconds == pytest.approx(r1.seconds)  # replayed build cost
-        assert len([e for e in cache.entries() if e[0] == "edgeorder"]) == 1
-
     def test_prepare_with_cache(self, cache, small_social):
         from repro.experiments.runner import prepare
 
