@@ -7,6 +7,8 @@ from repro.errors import ResultsError
 from repro.experiments import execute, prepare, run
 from repro.graph import generators as gen
 from repro.graph.io import write_adjacency_graph, read_adjacency_graph
+from repro.ordering import get_ordering
+from repro.ordering.base import ORDERING_REGISTRY
 from repro.partition.algorithm1 import chunk_boundaries
 
 
@@ -35,12 +37,52 @@ class TestPrepare:
         prep = prepare(g, "random", 48)
         assert np.array_equal(prep.perm[prep.orig_ids], np.arange(g.num_vertices))
 
+    @pytest.mark.parametrize("ordering", sorted(ORDERING_REGISTRY))
+    def test_every_ordering_is_cut_at_p(self, g, ordering):
+        """Figure 2: VEBO's own boundaries, Algorithm 1's scan for the rest."""
+        prep = prepare(g, ordering, 48)
+        if ordering == "vebo":
+            expected = get_ordering("vebo")(g, num_partitions=48).meta["boundaries"]
+        else:
+            expected = chunk_boundaries(prep.graph.in_degrees(), 48)
+        assert prep.boundaries.dtype == np.int64
+        assert np.array_equal(prep.boundaries, expected)
+
+    def test_vebo_without_p_plus_one_boundaries_is_scanned(self, g, monkeypatch):
+        vebo = ORDERING_REGISTRY["vebo"]
+
+        def vebo_without_boundaries(graph, **kwargs):
+            result = vebo(graph, **kwargs)
+            del result.meta["boundaries"]
+            return result
+
+        monkeypatch.setitem(ORDERING_REGISTRY, "vebo", vebo_without_boundaries)
+        prep = prepare(g, "vebo", 48)
+        assert np.array_equal(
+            prep.boundaries, chunk_boundaries(prep.graph.in_degrees(), 48)
+        )
+
 
 class TestExecute:
     def test_prepared_at_another_count_raises(self, g):
         prep = prepare(g, "vebo", 8)
         with pytest.raises(ResultsError, match="P=8"):
             execute(g, "CC", prepared=prep, num_partitions=16)
+
+    def test_executions_reuse_the_prepared_cut(self, g, monkeypatch):
+        """Algorithm 1 scans once per prepared graph, not per execution."""
+        from repro.experiments import runner
+
+        calls = []
+        scan = runner.chunk_boundaries
+        monkeypatch.setattr(
+            runner, "chunk_boundaries", lambda *a: calls.append(a) or scan(*a)
+        )
+        prep = prepare(g, "rcm", 8)
+        execute(g, "CC", ordering="rcm", prepared=prep, num_partitions=8)
+        execute(g, "PR", ordering="rcm", prepared=prep, num_partitions=8,
+                num_iterations=2)
+        assert len(calls) == 1
 
 
 class TestRun:

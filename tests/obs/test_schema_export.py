@@ -98,20 +98,11 @@ class TestChromeExport:
     def test_two_writers_of_one_pid_get_two_tracks(self, tmp_path):
         """A dead writer's unclosed span must not enclose the spans of the
         process that later held its pid: each writer is its own track."""
-        from repro.obs import core
-
-        def line(seq, ts, ph, event, **args):
-            evt = {"v": core.EVENT_VERSION, "seq": seq, "ts": ts, "pid": 4242,
-                   "tid": 1, "ph": ph, "name": event, "cat": ""}
-            return {**evt, "args": args} if args else evt
-
-        writer_a = [line(1, 100, "M", "process_name", name="repro", start=100),
-                    line(2, 101, "B", "killed")]
-        writer_b = [line(1, 900, "M", "process_name", name="repro", start=900),
-                    line(2, 901, "B", "b"), line(3, 902, "E", "b")]
-        path = tmp_path / "events-4242.jsonl"
-        path.write_text("".join(json.dumps(e) + "\n" for e in writer_a + writer_b),
-                        encoding="utf-8")
+        writer_a = [_line(1, 100, "M", "process_name", name="repro", start=100),
+                    _line(2, 101, "B", "killed")]
+        writer_b = [_line(1, 900, "M", "process_name", name="repro", start=900),
+                    _line(2, 901, "B", "b"), _line(3, 902, "E", "b")]
+        path = _write_log(tmp_path, 4242, writer_a + writer_b)
         out = to_chrome_trace(obs.read_events(path))["traceEvents"]
         assert len(out) == 5
         pid_a = {e["pid"] for e in out if e["name"] == "killed"}
@@ -121,3 +112,42 @@ class TestChromeExport:
         names = {e["pid"]: e["args"]["name"] for e in out if e["ph"] == "M"}
         assert set(names) == pid_a | pid_b
         assert "4242" in names[pid_b.pop()]
+
+    def test_later_writer_takes_a_pid_no_writer_holds(self, tmp_path):
+        """The moved writer must not land on the pid another writer in the
+        export already has."""
+        high = 4242 + 2**22
+        _write_log(tmp_path, 4242, [
+            _line(1, 100, "M", "process_name", name="repro", start=100),
+            _line(1, 900, "M", "process_name", name="repro", start=900),
+        ])
+        _write_log(tmp_path, high, [
+            _line(1, 500, "M", "process_name", name="repro", start=500, pid=high),
+        ])
+        out = to_chrome_trace(obs.read_events(tmp_path))["traceEvents"]
+        assert [e["pid"] for e in out] == [4242, 4242 + 2**23, high]
+        assert [e["args"]["name"] for e in out] == [
+            "repro", "repro (pid 4242)", "repro"]
+
+    def test_single_writers_keep_their_pids(self, tmp_path):
+        for pid in (11, 12):
+            _write_log(tmp_path, pid, [
+                _line(1, 100, "M", "process_name", name="repro", start=100, pid=pid),
+                _line(2, 101, "B", "s", pid=pid), _line(3, 102, "E", "s", pid=pid),
+            ])
+        out = to_chrome_trace(obs.read_events(tmp_path))["traceEvents"]
+        assert [e["pid"] for e in out] == [11, 11, 11, 12, 12, 12]
+        assert [e["args"]["name"] for e in out if e["ph"] == "M"] == ["repro"] * 2
+
+
+def _line(seq, ts, ph, event, pid=4242, **args):
+    """One event-log line of writer ``pid`` on thread 1."""
+    evt = {"v": obs.core.EVENT_VERSION, "seq": seq, "ts": ts, "pid": pid,
+           "tid": 1, "ph": ph, "name": event, "cat": ""}
+    return {**evt, "args": args} if args else evt
+
+
+def _write_log(root, pid, events):
+    path = root / f"events-{pid}.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+    return path

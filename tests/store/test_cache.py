@@ -144,7 +144,8 @@ class TestCacheBehaviour:
         assert cache.load("graph", "b" * 40) is None
         assert not path.exists()
 
-    @pytest.mark.parametrize("kind,member", [("graph", "adj"), ("ordering", "perm")])
+    @pytest.mark.parametrize("kind,member", [
+        ("graph", "adj"), ("ordering", "perm"), ("trace", "ints")])
     def test_bundle_unpack_rejects_is_rebuilt_then_hit(self, cache, small_social,
                                                        kind, member):
         """A bundle whose manifest parses but whose arrays the kind's
@@ -153,11 +154,13 @@ class TestCacheBehaviour:
         import json
 
         from repro import store
+        from repro.experiments import execute
 
         load = {
             "graph": lambda: store.load_graph("usaroad", scale=0.02, cache=cache),
             "ordering": lambda: store.cached_ordering(small_social, "vebo", cache=cache,
                                                       num_partitions=8),
+            "trace": lambda: execute(small_social, "CC", num_partitions=8, traces=cache),
         }[kind]
         load()
         [(_, key, _)] = [e for e in cache.entries() if e[0] == kind]
@@ -167,7 +170,7 @@ class TestCacheBehaviour:
         manifest_path.write_text(json.dumps(manifest))
         builds = []
         real_store = cache.store
-        cache.store = lambda *a: builds.append(a[0]) or real_store(*a)
+        cache.store = lambda *a, **k: builds.append(a[0]) or real_store(*a, **k)
         load()
         load()
         assert builds == [kind]
