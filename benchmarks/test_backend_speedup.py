@@ -57,9 +57,11 @@ def measure() -> dict:
     rows = {}
     for name in ALL_GRAPHS:
         graph = repro_store.load_graph(name, scale=SCALE)
-        # Warm both paths once (orderings, layout memos, miss memos) and
-        # use the warm passes as a full-matrix conformance check at
-        # benchmark scale: every modeled field must be bit-identical.
+        # Warm both paths once (imports, first-call costs; each sweep
+        # prepares its own graphs, and their engine layouts die with
+        # them) and use the warm passes as a full-matrix conformance
+        # check at benchmark scale: every modeled field must be
+        # bit-identical.
         ref_results = sweep(graph, "reference")
         vec_results = sweep(graph, "vectorized")
         for a, b in zip(ref_results, vec_results):

@@ -58,9 +58,9 @@ def measurements():
     rows = {}
     for name in ALL_GRAPHS:
         cells = cells_for(name)
-        # Warm everything both paths share (graph + ordering artifacts,
-        # in-process layout memos) and populate the trace store; the
-        # warm passes double as a full-matrix equivalence check.
+        # Warm everything both paths share (graph + ordering artifacts)
+        # and populate the trace store; the warm passes double as a
+        # full-matrix equivalence check.
         stats: dict = {}
         dedup_results = run_cells(cells, stats=stats)
         base_results = per_framework(name)

@@ -71,9 +71,9 @@ def _cc_async(graph: Graph, num_partitions: int, boundaries, max_iterations: int
     n = graph.num_vertices
     label = np.arange(n, dtype=np.int64)
     csc = graph.csc
-    # The engine's own stream: the vectorized engine matches (csc.adj,
-    # _csc_dst) by identity as the full dense stream and replays its
-    # cached record for every sweep.
+    # The engine's own destination stream.  A sweep's record is a dense
+    # pull step's (every vertex active, every edge read), so the vectorized
+    # engine replays its memoized dense-pull record for every sweep.
     csc_dst = engine._csc_dst
     csr = graph.csr
     csr_src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())

@@ -103,7 +103,8 @@ Cached artifacts are content-addressed bundles under
 holding a manifest plus one mmap-friendly .npy file per array.
 Single-file .npz bundles and partition/ and edgeorder/ directories from
 older releases are neither read nor cleaned (delete them by hand to
-reclaim their space); `datasets clean` removes only entries the cache
+reclaim their space; `datasets list` and `datasets clean` report the
+latter's bundles); `datasets clean` removes only entries the cache
 itself wrote (verified by an embedded marker), never foreign files.
 """
 
@@ -520,6 +521,7 @@ def _cmd_datasets_list(args) -> int:
     if cache is not None:
         cached_keys = {(kind, key) for kind, key, _ in cache.entries()}
         print(f"cache root: {cache.root}  ({len(cached_keys)} artifact(s))")
+        _print_retired(cache)
     else:
         print("cache: disabled")
     # "cached" refers to the default-parameter build of each dataset.
@@ -539,6 +541,16 @@ def _cmd_datasets_list(args) -> int:
                 hit = "?"
         print(f"{name:<14} {spec.source:<10} {hit:<7} {spec.description}")
     return 0
+
+
+def _print_retired(cache) -> None:
+    """Name the bundles of retired kinds under ``cache``'s root, if any."""
+    retired = cache.retired_entries()
+    if retired:
+        dirs = ", ".join(sorted({f"{kind}/" for kind, _, _ in retired}))
+        size = sum(size for _, _, size in retired)
+        print(f"retired kinds: {len(retired)} bundle(s), {size} bytes in {dirs}; "
+              f"nothing reads or cleans them, delete them by hand")
 
 
 def _cmd_datasets_build(args) -> int:
@@ -1058,6 +1070,7 @@ def _cmd_clean(args) -> int:
     removed = cache.clean(kind=args.kind)
     noun = "trace(s)" if args.command == "traces" else "artifact(s)"
     print(f"removed {len(removed)} {noun} from {cache.root}")
+    _print_retired(cache)
     return 0
 
 

@@ -33,14 +33,21 @@ Where the time goes, and what this engine does about it:
   for ``min``/``or`` permuted once by a cached destination-stable
   ``argsort`` of ``csr.adj`` and then reduced at the same CSC segment
   starts.
-* **Dense work accounting.**  A dense step's trace record (per-partition
+* **One record memo.**  A step's trace record (per-partition
   edge/destination/source counters and the sampled stream-miss fractions)
-  is a pure function of the graph layout, so it is built once and
-  replayed for every subsequent dense step.  This removes the
-  per-iteration line-id sort behind
-  :func:`~repro.machine.locality.line_hit_fraction`, the dominant cost of
-  dense iterative algorithms (PR, BP, SPMV) when every step is accounted
-  from scratch.
+  is a pure function of the layout and of what fixes the step's streams:
+  its direction, its active set and, for a pull over candidates, the
+  candidate ids in order.  Each layout memoizes finished records on
+  exactly that key, so every dense step after the first, and every
+  repeated partial step, appends the stored record and skips its
+  accounting, including the line-id sort behind
+  :func:`~repro.machine.locality.line_hit_fraction` (the dominant cost of
+  dense iterative algorithms — PR, BP, SPMV — when every step is
+  accounted from scratch).  On a miss, one of the step's two sampled
+  streams is always sorted (push sources, pull destinations), and
+  :func:`~repro.machine.locality.line_hit_fraction` counts a sorted
+  stream's hits in one pass.  A FIFO byte budget over the keys and
+  records bounds the memo.
 * **Dense-class push extraction.**  A partial push frontier in Table
   II's dense class (PRD's frontier thins slowly, so most of its push
   steps carry most of the edges) takes its destinations by compressing
@@ -56,22 +63,14 @@ Where the time goes, and what this engine does about it:
   per-vertex ``bincount``, whose nonzeros are the touched destinations
   the reduction reuses and whose prefix sums at the boundaries are the
   edge counts; only a sparse stream (under n/16 edges) is sorted.
-* **Partial-step locality memo.**  A partial step's sampled stream-miss
-  measurement is memoized per layout: the key is the stream length and
-  its end elements, and a stored measurement is reused only when both
-  stored streams equal the step's streams element for element.  Steps
-  on one layout often repeat streams — algorithms that expand the same
-  frontiers from the same source, repeated executions — and each
-  distinct stream is then measured once.  One of a step's two streams
-  is always sorted (push sources, pull destinations), and
-  :func:`~repro.machine.locality.line_hit_fraction` counts a sorted
-  stream's hits in one pass.
 * **Layout memoization.**  Everything derived from ``(graph,
   boundaries)`` — partition maps, flat COO streams, the
   :func:`~repro.partition.stats.compute_stats` totals, segment starts,
-  the dense record templates — is shared across engine constructions via
-  a weak per-graph cache, so a sweep pricing eight algorithms over one
-  prepared graph pays the setup once instead of eight times.
+  the record memo — is shared across engine constructions via a cache
+  keyed weakly on the graph, so a sweep pricing eight algorithms over one
+  prepared graph pays the setup once instead of eight times.  A layout
+  holds the graph's CSR and CSC views, never the graph itself, so it dies
+  with its graph, transposes included.
 
 Partial frontiers extract their active edges by mask compression (pull,
 and dense-class push) or row gathers (medium and sparse push, pull over
@@ -92,7 +91,6 @@ conformance unconditional.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from functools import cached_property
 from typing import Callable
 from weakref import WeakKeyDictionary
@@ -176,6 +174,13 @@ def _reduce(
     return acc if touched.size == size else acc[touched]
 
 
+def _entry_bytes(key: tuple, record: IterationRecord) -> int:
+    """Bytes one record-memo entry holds: its key's byte strings and its
+    record's per-partition arrays."""
+    held = (record.part_edges, record.part_dsts, record.part_srcs, record.part_vertices)
+    return sum(len(part) for part in key[1:] if part is not None) + sum(a.nbytes for a in held)
+
+
 class _SharedLayout:
     """Per-(graph, boundaries) immutable state shared across engines.
 
@@ -184,56 +189,54 @@ class _SharedLayout:
     dense push, ``push_perm`` only for dense push with an
     order-insensitive reduction, ...).
 
+    A layout holds the graph's CSR and CSC views, never the graph: the
+    cache keys layouts weakly on the graph, and a layout holding its key
+    would keep it, its derived arrays and its record memo alive for the
+    process lifetime.
+
     The borrowed graph arrays may be read-only — including memory-mapped
     straight off the artifact cache — so every layout member here is a
-    *freshly allocated* derived array; nothing writes into
-    ``graph.csr``/``graph.csc`` buffers.
+    *freshly allocated* derived array; nothing writes into the
+    ``csr``/``csc`` buffers.
     """
 
     def __init__(self, graph: Graph, boundaries: np.ndarray) -> None:
         from repro.partition.stats import compute_stats
 
-        self.graph = graph
-        self.boundaries = boundaries
+        self.csr = graph.csr
+        self.csc = graph.csc
         n = graph.num_vertices
         self.vertex_part = np.searchsorted(
             boundaries[1:], np.arange(n, dtype=INDEX_DTYPE), side="right"
         ).astype(INDEX_DTYPE)
-        self.csc_dst = np.repeat(
-            np.arange(n, dtype=INDEX_DTYPE), graph.csc.degrees()
-        )
+        self.csc_dst = np.repeat(np.arange(n, dtype=INDEX_DTYPE), self.csc.degrees())
         full = compute_stats(graph, boundaries)
         self.full_edges = np.maximum(full.edges, 1).astype(np.float64)
         self.full_srcs = full.unique_sources.astype(np.float64)
-        #: (direction, stream) or ("vertexmap", "-") -> dense IterationRecord
-        self.record_templates: dict[tuple, IterationRecord] = {}
-        #: Memo of partial-step stream-miss measurements: stream length and
-        #: end elements -> [(srcs, dsts, measurement)], with the stored
-        #: streams in FIFO order (see _stream_miss_pair).
-        self.miss_memo: dict[tuple, list[tuple[np.ndarray, np.ndarray, tuple[float, float]]]] = {}
-        self.miss_memo_order: deque[tuple] = deque()
-        self.miss_memo_bytes = 0
+        #: Finished step records, oldest first: (direction, packed active
+        #: mask, candidate id bytes or None) -> IterationRecord (see
+        #: VectorizedEngine._append_record); ``record_bytes`` is what
+        #: the entries hold.
+        self.records: dict[tuple, IterationRecord] = {}
+        self.record_bytes = 0
         #: workers -> vertex split points; the parallel backend's cached
-        #: chunk-band plans (repro.frameworks.parallel), guarded by ``lock``.
+        #: chunk-band plans (repro.frameworks.parallel).
         self.band_plans: dict[int, np.ndarray] = {}
-        #: Guards lazy per-layout structures that may be requested from
-        #: several threads (currently the band plans).  The accounting
-        #: memos (``record_templates``, ``miss_memo``) are only touched by
-        #: the engine executing a step, which is always a single thread.
+        #: Guards the lazy per-layout structures that several threads may
+        #: fill at once: the band plans and the record memo's inserts.
         self.lock = threading.Lock()
 
     # -- dense-stream geometry -----------------------------------------
     @cached_property
     def out_degrees(self) -> np.ndarray:
         """Out-degree of each vertex (the CSR row lengths)."""
-        return self.graph.csr.degrees()
+        return self.csr.degrees()
 
     @cached_property
     def csr_src(self) -> np.ndarray:
         """Edge -> source vertex in CSR (source-major) order."""
         return np.repeat(
-            np.arange(self.graph.num_vertices, dtype=INDEX_DTYPE),
-            self.out_degrees,
+            np.arange(self.csr.num_vertices, dtype=INDEX_DTYPE), self.out_degrees
         )
 
     @cached_property
@@ -241,14 +244,14 @@ class _SharedLayout:
         """Sorted unique destinations of the full edge stream — exactly
         the vertices with nonzero in-degree (identical for push and pull:
         both streams cover every edge)."""
-        return np.flatnonzero(self.graph.in_degrees() > 0).astype(INDEX_DTYPE)
+        return np.flatnonzero(self.csc.degrees() > 0).astype(INDEX_DTYPE)
 
     @cached_property
     def full_starts(self) -> np.ndarray:
         """Start offset of each nonempty destination segment in any
         destination-grouped full edge stream (= CSC offsets of the
         touched vertices)."""
-        return self.graph.csc.offsets[self.full_touched]
+        return self.csc.offsets[self.full_touched]
 
     @cached_property
     def push_perm(self) -> np.ndarray:
@@ -256,18 +259,19 @@ class _SharedLayout:
         Stability preserves CSR order within each destination, so even
         order-*sensitive* reductions over the permuted stream accumulate
         in push order."""
-        return np.argsort(self.graph.csr.adj, kind="stable")
+        return np.argsort(self.csr.adj, kind="stable")
 
 
-#: graph -> {boundaries bytes -> _SharedLayout}; weak so graphs can die.
+#: graph -> {boundaries bytes -> _SharedLayout}; weak, so each layout dies
+#: with its graph.
 _LAYOUTS: "WeakKeyDictionary[Graph, dict[bytes, _SharedLayout]]" = WeakKeyDictionary()
 
 #: Guards every read-modify-write of ``_LAYOUTS``.  Engines are built
 #: concurrently — a thread pool constructing one engine per worker, or the
 #: parallel backend's own machinery — and the unlocked check-then-insert
 #: used to race: two threads could each miss, build a duplicate
-#: _SharedLayout (torn sharing: their miss memos and record templates then
-#: diverge for the process lifetime) and clobber each other's insert.
+#: _SharedLayout (torn sharing: their record memos then diverge for the
+#: graph's lifetime) and clobber each other's insert.
 #: Building *inside* the lock is deliberate: the lock guarantees exactly
 #: one build per (graph, boundaries), which the thread-hammer regression
 #: test pins down by spying on the construction count.
@@ -378,59 +382,40 @@ class VectorizedEngine:
     # Work accounting
     # ------------------------------------------------------------------
 
-    #: Upper bound on the per-layout stream-miss memo (bytes of the
-    #: sampled streams it stores).  Sized to hold every partial step of
-    #: one full algorithm pass, so re-executing the same algorithm for the
-    #: next framework personality replays the measurements.
-    _MISS_MEMO_BUDGET = 64 * 1024 * 1024
-    #: Elements taken from each end of each stream for the memo key.
-    _MISS_KEY_ENDS = 16
+    #: Upper bound on a layout's record memo: the bytes of its keys and
+    #: of its records' per-partition arrays.
+    _RECORD_MEMO_BUDGET = 16 * 1024 * 1024
 
-    def _stream_miss_pair(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple[float, float]:
-        """Sampled miss fractions of one step's (source, destination)
-        streams, memoized per layout.
+    def _append_record(
+        self, direction: str, frontier: Frontier, candidates: np.ndarray | None,
+        build: Callable[[], IterationRecord],
+    ) -> None:
+        """Append the record of a step, memoized per layout.
 
-        Both streams are sampled once, to their middle ``_MISS_SAMPLE``
-        elements, which bounds the measurement and the stored streams
-        alike.  The measurement is a deterministic function of the two
-        samples, and steps over one layout often repeat streams.  The memo
-        key is cheap (the sample length and the first and last
-        ``_MISS_KEY_ENDS`` elements of each sample), and an entry is used
-        only when both stored samples equal the queried ones element for
-        element, so samples that share a key but differ anywhere are
-        measured and stored separately.  A FIFO byte budget over the
-        stored samples bounds retention.
+        A step's streams, and so its record, are fixed by its direction
+        (``"-"`` for a vertexmap), its active set and its pull candidates
+        in order, so that triple is the key: the active set as packed mask
+        bytes, the candidates as int64 bytes.  ``build`` runs on a miss
+        only; a hit appends the stored, immutable record itself.  Inserts
+        are FIFO within :attr:`_RECORD_MEMO_BUDGET`.
         """
-        if srcs.size == 0:
-            return 0.0, 0.0
-        if srcs.size > _MISS_SAMPLE:
-            start = (srcs.size - _MISS_SAMPLE) // 2
-            srcs = srcs[start : start + _MISS_SAMPLE]
-            dsts = dsts[start : start + _MISS_SAMPLE]
-        shared = self._shared
-        ends = self._MISS_KEY_ENDS
-        key = (srcs.size, srcs[:ends].tobytes(), srcs[-ends:].tobytes(),
-               dsts[:ends].tobytes(), dsts[-ends:].tobytes())
-        entries = shared.miss_memo.setdefault(key, [])
-        for stored_srcs, stored_dsts, measured in entries:
-            if np.array_equal(stored_srcs, srcs) and np.array_equal(stored_dsts, dsts):
-                return measured
-        window = reuse_window(self.graph.num_vertices)
-        measured = (
-            1.0 - line_hit_fraction(srcs, window=window),
-            1.0 - line_hit_fraction(dsts, window=window),
+        key = (
+            direction,
+            np.packbits(frontier.mask).tobytes(),
+            None if candidates is None else candidates.astype(INDEX_DTYPE, copy=False).tobytes(),
         )
-        entries.append((srcs.copy(), dsts.copy(), measured))
-        shared.miss_memo_order.append(key)
-        shared.miss_memo_bytes += srcs.nbytes + dsts.nbytes
-        while shared.miss_memo_bytes > self._MISS_MEMO_BUDGET:
-            oldest = shared.miss_memo_order.popleft()
-            bucket = shared.miss_memo[oldest]
-            old_srcs, old_dsts, _ = bucket.pop(0)
-            if not bucket:
-                del shared.miss_memo[oldest]
-            shared.miss_memo_bytes -= old_srcs.nbytes + old_dsts.nbytes
-        return measured
+        shared = self._shared
+        record = shared.records.get(key)
+        if record is None:
+            record = build()
+            with shared.lock:
+                if key not in shared.records:
+                    shared.records[key] = record
+                    shared.record_bytes += _entry_bytes(key, record)
+                    while shared.record_bytes > self._RECORD_MEMO_BUDGET:
+                        oldest = next(iter(shared.records))
+                        shared.record_bytes -= _entry_bytes(oldest, shared.records.pop(oldest))
+        self.trace.append(record)
 
     def _edgemap_record(
         self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray,
@@ -452,15 +437,21 @@ class VectorizedEngine:
         # sparse ones).
         if srcs.size == 0:
             part_srcs = np.zeros(p, dtype=np.int64)
+            src_miss = dst_miss = 0.0
         else:
             frac = np.minimum(part_edges / self._shared.full_edges, 1.0)
             part_srcs = np.ceil(self._shared.full_srcs * frac).astype(np.int64)
-        # Per-step locality of the *actual* access streams (sampled).  A
-        # BFS wave in a community-local ordering reads tightly clustered
-        # sources; a random permutation scatters the same wave across the
-        # whole array.  Layout-level measurements cannot see that, so each
-        # record carries its own miss fractions.
-        src_miss, dst_miss = self._stream_miss_pair(srcs, dsts)
+            # Per-step locality of the *actual* access streams, sampled to
+            # their middle _MISS_SAMPLE elements.  A BFS wave in a
+            # community-local ordering reads tightly clustered sources; a
+            # random permutation scatters the same wave across the whole
+            # array.  Layout-level measurements cannot see that, so each
+            # record carries its own miss fractions.
+            start = max(0, (srcs.size - _MISS_SAMPLE) // 2)
+            sample = slice(start, start + _MISS_SAMPLE)
+            window = reuse_window(self.graph.num_vertices)
+            src_miss = 1.0 - line_hit_fraction(srcs[sample], window=window)
+            dst_miss = 1.0 - line_hit_fraction(dsts[sample], window=window)
         return IterationRecord(
             kind="edgemap",
             direction=direction,
@@ -474,6 +465,21 @@ class VectorizedEngine:
             src_miss=src_miss,
             dst_miss=dst_miss,
         )
+
+    def _record_edgemap(
+        self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray,
+        density: DensityClass | None = None, candidates: np.ndarray | None = None,
+    ) -> None:
+        """Append the record of an edgemap step over the streams that
+        ``direction``, ``frontier`` and ``candidates`` fix."""
+        self._append_record(
+            direction, frontier, candidates,
+            lambda: self._edgemap_record(direction, frontier, srcs, dsts, density),
+        )
+
+    def _record_vertexmap(self, frontier: Frontier) -> None:
+        """Append the record of a vertexmap step over ``frontier``."""
+        self._append_record("-", frontier, None, lambda: self._vertexmap_record(frontier))
 
     def _vertexmap_record(self, frontier: Frontier) -> IterationRecord:
         """The work record of one vertexmap step."""
@@ -493,43 +499,6 @@ class VectorizedEngine:
             part_srcs=np.zeros(p, dtype=np.int64),
             part_vertices=part_vertices,
         )
-
-    # A fully dense step over a full stream has a record that is a pure
-    # function of the layout: the two methods below build it once per
-    # layout and append the same (immutable) record on every replay.
-
-    def _record_edgemap(
-        self, direction: str, frontier: Frontier, srcs: np.ndarray, dsts: np.ndarray,
-        density: DensityClass | None = None,
-    ) -> None:
-        shared = self._shared
-        graph = self.graph
-        stream = None
-        if frontier.count() == graph.num_vertices:
-            if srcs is graph.csc.adj and dsts is shared.csc_dst:
-                stream = "csc"
-            elif srcs is shared.__dict__.get("csr_src") and dsts is graph.csr.adj:
-                # (__dict__ lookup: plain getattr would *materialize* the
-                # lazy csr_src stream just to compare identities)
-                stream = "csr"
-        if stream is None:
-            record = self._edgemap_record(direction, frontier, srcs, dsts, density)
-        else:
-            record = shared.record_templates.get((direction, stream))
-            if record is None:
-                record = self._edgemap_record(direction, frontier, srcs, dsts, density)
-                shared.record_templates[direction, stream] = record
-        self.trace.append(record)
-
-    def _record_vertexmap(self, frontier: Frontier) -> None:
-        if frontier.count() != self.graph.num_vertices:
-            record = self._vertexmap_record(frontier)
-        else:
-            templates = self._shared.record_templates
-            record = templates.get(("vertexmap", "-"))
-            if record is None:
-                record = templates["vertexmap", "-"] = self._vertexmap_record(frontier)
-        self.trace.append(record)
 
     # ------------------------------------------------------------------
     # Edge extraction
@@ -562,8 +531,12 @@ class VectorizedEngine:
         ):
             # Strictly increasing candidates keep the gathered destination
             # stream sorted, so segment reductions apply.
-            return self._finish_sorted(frontier, op, state, srcs, dsts, "pull")
-        return self._finish_scatter(frontier, op, state, srcs, dsts, "pull")
+            return self._finish_sorted(
+                frontier, op, state, srcs, dsts, "pull", dst_candidates
+            )
+        return self._finish_scatter(
+            frontier, op, state, srcs, dsts, "pull", candidates=dst_candidates
+        )
 
     def _edgemap_push(self, frontier: Frontier, op: EdgeOp, state: dict) -> Frontier:
         graph = self.graph
@@ -674,11 +647,14 @@ class VectorizedEngine:
         srcs: np.ndarray,
         dsts: np.ndarray,
         direction: str,
+        candidates: np.ndarray | None = None,
     ) -> Frontier:
         """Finish a step whose ``dsts`` stream is non-decreasing (CSC
         compression preserves destination order), so touched destinations
         and segment boundaries come from one difference scan, and each
-        partition's edges from one binary search per boundary."""
+        partition's edges from one binary search per boundary.
+        ``candidates`` are the pull candidates the streams came from, if
+        any (part of the step's record key)."""
         graph = self.graph
         if dsts.size:
             boundary = np.empty(dsts.size, dtype=bool)
@@ -691,7 +667,7 @@ class VectorizedEngine:
             touched = dsts[starts]
             part_edges = np.diff(np.searchsorted(dsts, self.boundaries))
             self._touched_cache = (dsts, touched, part_edges)
-        self._record_edgemap(direction, frontier, srcs, dsts)
+        self._record_edgemap(direction, frontier, srcs, dsts, candidates=candidates)
         if dsts.size == 0:
             return Frontier.empty(graph.num_vertices)
         vals = np.asarray(op.gather(srcs, dsts, state), dtype=np.float64)
@@ -708,11 +684,12 @@ class VectorizedEngine:
         dsts: np.ndarray,
         direction: str,
         density: DensityClass | None = None,
+        candidates: np.ndarray | None = None,
     ) -> Frontier:
         """Finish a step with an unordered destination stream (partial
-        push, or pull over unsorted candidates)."""
+        push, or pull over unsorted ``candidates``)."""
         n = self.graph.num_vertices
-        self._record_edgemap(direction, frontier, srcs, dsts, density)
+        self._record_edgemap(direction, frontier, srcs, dsts, density, candidates)
         if dsts.size == 0:
             return Frontier.empty(n)
         vals = np.asarray(op.gather(srcs, dsts, state), dtype=np.float64)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 __all__ = [
     "StreamLocality",
     "line_hit_fraction",
@@ -59,42 +61,49 @@ class StreamLocality:
 def line_hit_fraction(indices: np.ndarray, window: int = 4096) -> float:
     """Fraction of accesses whose cache line was touched in the previous
     ``window`` accesses (a fixed-window LRU approximation).  ``indices``
-    are non-negative element indices.
+    are non-negative element indices; a negative one raises
+    :class:`~repro.errors.SimulationError`.
 
     Implementation: for every access record the stream position of the
     previous access to the same line; a hit is a reuse distance (in
-    accesses, not distinct lines) below the window.  This
+    accesses, not distinct lines) of at most the window.  This
     over-approximates a real LRU stack distance but ranks orders
-    identically in practice.  The accesses are grouped by line with a
-    stable bucket sort (line ids are small non-negative integers: one
-    16-bit radix pass below 65,536 lines), whose permutation is itself
-    the sorted stream positions.
+    identically in practice.  The accesses are grouped by line with one
+    in-place sort of the int64 keys ``line * (size + window) + position``
+    (the :func:`~repro.graph.csr.pair_keys` idiom): within a line the
+    keys ascend by position, so consecutive keys differ by the reuse
+    distance, and keys of different lines lie more than ``window`` apart,
+    so the hits are exactly the key gaps of at most ``window``.  A stream
+    whose keys would overflow int64 raises instead of wrapping.
 
     A stream whose line ids never decrease (a CSR source or CSC
     destination stream) skips the sort: each access's previous access to
-    its line, if any, is its predecessor, one access back, so with
-    ``window >= 1`` the hits are the accesses equal to their predecessor
-    — the same count, hence the same float.  (At ``window < 1`` nothing
-    hits, and the general path says so.)
+    its line, if any, is its predecessor, one access back, so the hits
+    are the accesses equal to their predecessor.  At ``window < 1``
+    nothing hits.
     """
-    from repro.ordering.base import stable_bucket_argsort
-
     if indices.size == 0:
         return 1.0
     line_ids = np.asarray(indices, dtype=np.int64) // ELEMS_PER_LINE
-    if window >= 1 and not np.any(line_ids[1:] < line_ids[:-1]):
-        repeats = np.count_nonzero(line_ids[1:] == line_ids[:-1])
-        return float(repeats) / line_ids.size
-    pos = stable_bucket_argsort(line_ids)
-    sorted_lines = line_ids[pos]
-    same = np.empty(line_ids.size, dtype=bool)
-    same[0] = False
-    same[1:] = sorted_lines[1:] == sorted_lines[:-1]
-    gap = np.empty(line_ids.size, dtype=np.int64)
-    gap[0] = np.iinfo(np.int64).max
-    gap[1:] = pos[1:] - pos[:-1]
-    hits = same & (gap <= window)
-    return float(np.count_nonzero(hits)) / line_ids.size
+    ordered = not np.any(line_ids[1:] < line_ids[:-1])
+    if (line_ids[0] if ordered else line_ids.min()) < 0:
+        raise SimulationError("line_hit_fraction needs non-negative indices")
+    if window < 1:
+        return 0.0
+    size = line_ids.size
+    if ordered:
+        return float(np.count_nonzero(line_ids[1:] == line_ids[:-1])) / size
+    span = size + int(window)
+    if int(line_ids.max()) * span + size - 1 > np.iinfo(np.int64).max:
+        raise SimulationError(
+            f"line_hit_fraction: {size} accesses at window {window} over "
+            f"{int(line_ids.max()) + 1} lines overflow its int64 keys"
+        )
+    keys = line_ids  # a fresh array: the floor division allocated it
+    keys *= span
+    keys += np.arange(size, dtype=np.int64)
+    keys.sort()
+    return float(np.count_nonzero(np.diff(keys) <= window)) / size
 
 
 def sequential_fraction(indices: np.ndarray) -> float:

@@ -14,8 +14,6 @@ sweep can compare a third locality-oriented ordering against VEBO.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.graph.csr import INDEX_DTYPE, Graph
 from repro.ordering.base import register_ordering, timed_ordering
@@ -24,7 +22,14 @@ __all__ = ["slashburn_perm", "slashburn"]
 
 
 def _components(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[int, np.ndarray]:
-    """Weakly connected components of the subgraph on ``n`` live vertices."""
+    """Weakly connected components of the subgraph on ``n`` live vertices.
+
+    scipy is imported here, not at module load: every process imports
+    this module through :mod:`repro.ordering`, and only SlashBurn needs
+    scipy."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     mat = coo_matrix(
         (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n)
     )

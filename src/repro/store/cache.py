@@ -33,8 +33,10 @@ deleting it; foreign files inside the cache root are never touched.  The
 monolithic ``<key>.npz`` archives of bundle format v1 are no longer read:
 one left over in a cache root is a foreign file, so its key is a clean
 miss that rebuilds a v2 bundle beside it (delete the cache root to
-reclaim the space).  The ``partition/`` and ``edgeorder/`` directories of
-older releases are no longer read or cleaned either; delete them by hand.
+reclaim the space).  The ``partition/`` and ``edgeorder/`` bundles of
+older releases are no longer read or cleaned either:
+:meth:`ArtifactCache.retired_entries` (``datasets list``) reports them,
+and they are deleted by hand.
 
 Read-only contract
 ------------------
@@ -410,6 +412,19 @@ class ArtifactCache:
         for path in self._owned_paths(ARTIFACT_KINDS):
             out.append((path.parent.name, path.name, _tree_size(path)))
         return out
+
+    def retired_entries(self) -> list[tuple[str, str, int]]:
+        """``(directory, key, size_bytes)`` for every cache-owned bundle
+        under a root directory that is no current kind: the ``partition/``
+        and ``edgeorder/`` bundles of older releases.  Nothing reads them,
+        and :meth:`clean` leaves them."""
+        try:
+            dirs = sorted(p.name for p in self.root.iterdir()
+                          if p.is_dir() and p.name not in ARTIFACT_KINDS)
+        except OSError:
+            return []
+        return [(path.parent.name, path.name, _tree_size(path))
+                for path in self._owned_paths(dirs)]
 
     def size_bytes(self) -> int:
         return sum(size for _, _, size in self.entries())

@@ -21,12 +21,13 @@ from repro.frameworks.backends import (
 from repro.frameworks.engine import EdgeOp
 from repro.frameworks.frontier import Frontier
 from repro.frameworks.parallel import WORKERS_ENV_VAR, ParallelEngine
-from repro.frameworks.trace import WorkTrace
+from repro.frameworks import vectorized as vec_mod
+from repro.frameworks.trace import WorkTrace, records_equal
 from repro.frameworks.vectorized import VectorizedEngine
 from repro.graph import generators as gen
 from repro.partition.algorithm1 import chunk_boundaries
 
-from oracles import ReferenceEngine, stream_miss_reference
+from oracles import ReferenceEngine
 
 
 @pytest.fixture()
@@ -164,51 +165,113 @@ class TestReduceDtypeContract:
             assert not np.array_equal(lossy[touched], expected[touched])  # bits were lost
 
 
-class TestStreamMissMemo:
-    """The vectorized engine's per-layout memo of sampled stream-miss
-    measurements (``VectorizedEngine._stream_miss_pair``)."""
+class TestRecordMemo:
+    """The vectorized engine's per-layout memo of finished step records
+    (``VectorizedEngine._append_record``), keyed on what fixes a step's
+    streams: direction, active set and pull candidates."""
+
+    OP = EdgeOp(
+        gather=lambda s, d, st: s.astype(np.float64),
+        reduce="min",
+        apply=lambda t, r, st: np.ones(t.size, dtype=bool),
+        identity=np.inf,
+    )
 
     @staticmethod
-    def _engine():
+    def _graph():
         # A graph of its own: the memo lives on the per-graph shared layout.
-        g = gen.zipf_powerlaw_graph(4000, s=1.2, max_degree=40, seed=7, name="memo")
-        return VectorizedEngine(g, chunk_boundaries(g.in_degrees(), 8),
-                                WorkTrace("t", g.name, 8))
+        return gen.zipf_powerlaw_graph(4000, s=1.2, max_degree=40, seed=7, name="memo")
 
     @staticmethod
-    def _streams():
-        """Two streams of one length whose first and last 16 elements agree
-        and whose middles differ."""
-        rng = np.random.default_rng(0)
-        ends = np.arange(16, dtype=np.int64)
-        middle = np.arange(2000, dtype=np.int64) % 500
-        a = np.concatenate([ends, middle, ends])
-        b = np.concatenate([ends, rng.integers(0, 4000, 2000), ends])
-        return a, b
+    def _engines(graph, cls=VectorizedEngine):
+        """An engine of ``cls`` and the oracle, on one 8-chunk layout."""
+        bounds = chunk_boundaries(graph.in_degrees(), 8)
+        return (cls(graph, bounds, WorkTrace("t", graph.name, 8)),
+                ReferenceEngine(graph, bounds, WorkTrace("t", graph.name, 8)))
 
-    def test_equal_ends_different_middles_measured_separately(self):
-        engine = self._engine()
-        a, b = self._streams()
-        n = engine.graph.num_vertices
-        first = engine._stream_miss_pair(a, a[::-1].copy())
-        second = engine._stream_miss_pair(b, b[::-1].copy())
-        assert first == stream_miss_reference(a, a[::-1], n)
-        assert second == stream_miss_reference(b, b[::-1], n)
-        assert first != second
-        # Both are stored under the one shared key and replay exactly.
-        assert [len(v) for v in engine._shared.miss_memo.values()] == [2]
-        assert engine._stream_miss_pair(a.copy(), a[::-1].copy()) == first
-        assert engine._stream_miss_pair(b.copy(), b[::-1].copy()) == second
-        assert engine._shared.miss_memo_bytes == 2 * (a.nbytes + b.nbytes)
+    def _step(self, engines, frontier, direction, candidates=None):
+        """Run one step on every engine; return each one's new record."""
+        for eng in engines:
+            eng.edgemap(frontier, self.OP, {}, direction=direction,
+                        dst_candidates=candidates)
+        return [eng.trace.records[-1] for eng in engines]
 
-    def test_fifo_budget_evicts_oldest_stream(self, monkeypatch):
-        engine = self._engine()
-        a, b = self._streams()
-        monkeypatch.setattr(VectorizedEngine, "_MISS_MEMO_BUDGET", 2 * a.nbytes)
-        engine._stream_miss_pair(a, a)
-        engine._stream_miss_pair(b, b)
+    @pytest.mark.parametrize("cls", [VectorizedEngine, ParallelEngine])
+    def test_same_step_appends_the_identical_record(self, cls):
+        graph = self._graph()
+        n = graph.num_vertices
+        engine, oracle = self._engines(graph, cls)
+        rng = np.random.default_rng(3)
+        frontier = Frontier.from_mask(rng.random(n) < 0.3)
+        candidates = rng.permutation(n)[: n // 2]
+        for direction, cands in (("push", None), ("pull", None), ("pull", candidates),
+                                 ("pull", np.sort(candidates))):
+            first, want = self._step((engine, oracle), frontier, direction, cands)
+            assert records_equal(first, want)
+            # A new engine on the same graph shares the layout, hence the memo.
+            other, _ = self._engines(graph, cls)
+            again = self._step((engine, other), Frontier.from_mask(frontier.mask.copy()),
+                               direction, None if cands is None else cands.copy())
+            assert all(rec is first for rec in again)
+        # Full frontiers: every dense step after the first is the same object.
+        full = Frontier.all_vertices(n)
+        for direction in ("push", "pull"):
+            recs = [self._step((engine,), full, direction)[0] for _ in range(3)]
+            assert recs[1] is recs[0] and recs[2] is recs[0]
+        assert len(engine._shared.records) == 6
+
+    def test_one_vertex_apart_or_other_candidates_miss(self):
+        graph = self._graph()
+        n = graph.num_vertices
+        engines = self._engines(graph)
+        rng = np.random.default_rng(4)
+        mask = rng.random(n) < 0.2
+        grown = mask.copy()
+        grown[np.flatnonzero(~mask & (graph.out_degrees() > 0))[0]] = True
+        candidates = rng.permutation(n)[: n // 3]
+        steps = [
+            (Frontier.from_mask(mask), "push", None),
+            (Frontier.from_mask(grown), "push", None),
+            (Frontier.from_mask(mask), "pull", None),
+            (Frontier.from_mask(mask), "pull", candidates),
+            (Frontier.from_mask(mask), "pull", candidates[::-1].copy()),
+            (Frontier.from_mask(mask), "pull", candidates[1:]),
+        ]
+        records = []
+        for frontier, direction, cands in steps:
+            record, want = self._step(engines, frontier, direction, cands)
+            assert records_equal(record, want)
+            records.append(record)
+        assert len({id(rec) for rec in records}) == len(steps)
+        assert len(engines[0]._shared.records) == len(steps)
+        # The reversed candidates reach the same destinations in another
+        # order: equal counters, other sampled streams.
+        assert np.array_equal(records[3].part_edges, records[4].part_edges)
+        assert records[3].src_miss != records[4].src_miss
+
+    def test_fifo_budget_evicts_oldest_entry(self, monkeypatch):
+        graph = self._graph()
+        n = graph.num_vertices
+        engine, oracle = self._engines(graph)
+        masks = [np.zeros(n, dtype=bool) for _ in range(3)]
+        for i, mask in enumerate(masks):
+            mask[i::7] = True
         shared = engine._shared
-        assert shared.miss_memo_bytes == 2 * b.nbytes
-        [(stored, _, _)] = [entry for v in shared.miss_memo.values() for entry in v]
-        assert np.array_equal(stored, b) and list(shared.miss_memo_order) == [
-            next(iter(shared.miss_memo))]
+        self._step((engine,), Frontier.from_mask(masks[0]), "push")
+        [(key0, rec0)] = shared.records.items()
+        entry = vec_mod._entry_bytes(key0, rec0)
+        assert shared.record_bytes == entry
+        # Room for two entries of this size: the third insert evicts the first.
+        monkeypatch.setattr(VectorizedEngine, "_RECORD_MEMO_BUDGET", 2 * entry)
+        for mask in masks[1:]:
+            self._step((engine,), Frontier.from_mask(mask), "push")
+        assert key0 not in shared.records and len(shared.records) == 2
+        assert shared.record_bytes == sum(
+            vec_mod._entry_bytes(k, r) for k, r in shared.records.items())
+        kept = list(shared.records.values())
+        # The evicted step is accounted afresh, to the same bits; the
+        # newest entries stay.
+        rebuilt, want = self._step((engine, oracle), Frontier.from_mask(masks[0]), "push")
+        assert rebuilt is not rec0 and records_equal(rebuilt, rec0)
+        assert records_equal(rebuilt, want)
+        assert list(shared.records.values()) == [kept[1], rebuilt]

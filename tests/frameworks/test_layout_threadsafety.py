@@ -4,9 +4,9 @@
 ``(graph, boundaries)``.  Before the lock was added, the check-then-insert
 raced: two threads constructing engines for the same graph could each
 miss, build *duplicate* layouts and clobber each other's insert — from
-then on engines silently stopped sharing miss memos, record templates and
-band plans, defeating the cache for the process lifetime (and, for the
-parallel backend, re-deriving layouts mid-flight).  These tests hammer
+then on engines silently stopped sharing record memos and band plans,
+defeating the cache for the graph's lifetime (and, for the parallel
+backend, re-deriving layouts mid-flight).  These tests hammer
 the cache from a barrier-synchronized thread pool while spying on the
 construction count: exactly one build per key, one shared object, no
 torn or duplicate layouts, no matter how the threads interleave.

@@ -132,11 +132,13 @@ class TestLocality:
 
     @pytest.mark.parametrize("high", [50, 40_000, 3_000_000])
     def test_bucket_grouping_matches_comparison_sort(self, high):
-        """The bucket-sort grouping counts exactly the hits a stable
-        comparison argsort over the line ids finds (one and two radix
-        passes), and so does the sorted-stream shortcut: on sorted
-        streams, on nearly sorted ones (one swapped pair, so the shortcut
-        must not fire) and at windows 0 (where it must not fire) and 1."""
+        """The composite-key grouping counts exactly the hits a stable
+        comparison argsort over the line ids finds (as does the oracle's
+        bucket sort, at one and two radix passes), and so does the
+        sorted-stream shortcut: on sorted streams, on nearly sorted ones
+        (one swapped pair, so the shortcut must not fire), at windows 0
+        (where nothing hits) and 1, and at a window longer than the
+        stream.  Negative indices, and keys past int64, raise."""
         rng = np.random.default_rng(high)
         random = rng.integers(0, high, 30_000)
         ordered = np.sort(random)
@@ -150,10 +152,18 @@ class TestLocality:
             order = np.argsort(lines, kind="stable")
             same = np.r_[False, lines[order][1:] == lines[order][:-1]]
             gap = np.r_[np.iinfo(np.int64).max, np.diff(order)]
-            for window in (0, 1, 256):
+            for window in (0, 1, 256, 2 * stream.size):
                 want = float(np.count_nonzero(same & (gap <= window))) / stream.size
                 assert line_hit_fraction(stream, window=window) == want
                 assert line_hit_fraction_reference(stream, window=window) == want
+        for stream in (np.array([24, -8, 40]), np.array([-8, 0, 8])):
+            with pytest.raises(SimulationError, match="non-negative"):
+                line_hit_fraction(stream, window=256)
+        # The largest key is 2**59 * (3 + 4096) + 2, past int64.
+        huge = np.array([2**62, 0, 2**62], dtype=np.int64)
+        assert line_hit_fraction_reference(huge, window=4096) == 1 / 3
+        with pytest.raises(SimulationError, match="overflow"):
+            line_hit_fraction(huge, window=4096)
 
     def test_empty_stream(self):
         loc = measure_stream(np.array([], dtype=np.int64))

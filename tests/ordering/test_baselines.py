@@ -1,6 +1,11 @@
 """Unit tests for the baseline orderings: RCM, Gorder, SlashBurn, LDG,
 Fennel, degree-sort, random and the registry machinery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -195,6 +200,18 @@ class TestSlashBurn:
     def test_grid_terminates(self, small_grid):
         perm = slashburn_perm(small_grid, max_rounds=8)
         assert sorted(perm.tolist()) == list(range(small_grid.num_vertices))
+
+    def test_package_imports_without_scipy(self):
+        """Only SlashBurn's component search needs scipy, so importing
+        the store, the sweep and the CLI (what every process imports)
+        loads none of it."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = ("import sys, repro.store, repro.experiments, repro.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStreaming:

@@ -70,6 +70,39 @@ class TestDatasetsCommands:
             main(["datasets", "build", "--help"])
         assert "--edge-order" not in capsys.readouterr().out
 
+    def test_retired_kind_bundles_are_listed_and_left(self, cache_dir, capsys):
+        """A ``partition/`` bundle from before that kind was retired:
+        ``list`` counts it and its bytes, ``clean`` says it leaves it.
+        Directories without the manifest magic are not counted."""
+        import json
+
+        from repro.store import ArtifactCache
+        from repro.store.cache import MAGIC_VALUE_V2, MANIFEST_NAME
+
+        assert main(["datasets", "build", "usaroad", "--scale", "0.05"]) == 0
+        bundle = cache_dir / "partition" / ("ab" * 20)
+        bundle.mkdir(parents=True)
+        (bundle / MANIFEST_NAME).write_text(json.dumps({"magic": MAGIC_VALUE_V2}))
+        np.save(bundle / "a0000.npy", np.arange(100, dtype=np.int64))
+        size = sum(p.stat().st_size for p in bundle.iterdir())
+        (cache_dir / "partition" / "notes").mkdir()          # no manifest
+        (cache_dir / "mine").mkdir()
+        (cache_dir / "mine" / "x.txt").write_text("foreign")
+        assert ArtifactCache(cache_dir).retired_entries() == [
+            ("partition", bundle.name, size)]
+        capsys.readouterr()
+
+        assert main(["datasets", "list"]) == 0
+        out = capsys.readouterr().out
+        assert "(1 artifact(s))" in out
+        assert f"retired kinds: 1 bundle(s), {size} bytes in partition/" in out
+        assert main(["datasets", "clean"]) == 0
+        out = capsys.readouterr().out
+        assert "removed 1 artifact(s)" in out
+        assert f"retired kinds: 1 bundle(s), {size} bytes in partition/" in out
+        assert (bundle / MANIFEST_NAME).is_file()
+        assert (cache_dir / "mine" / "x.txt").is_file()
+
     def test_build_custom_dataset_without_scale_seed_params(self, cache_dir, capsys):
         from repro.graph import generators as gen
         from repro.store.registry import DATASET_REGISTRY, register_dataset
