@@ -94,10 +94,11 @@ def line_hit_fraction(indices: np.ndarray, window: int = 4096) -> float:
     if ordered:
         return float(np.count_nonzero(line_ids[1:] == line_ids[:-1])) / size
     span = size + int(window)
-    if int(line_ids.max()) * span + size - 1 > np.iinfo(np.int64).max:
+    top = int(line_ids.max())
+    if top * span + size - 1 > np.iinfo(np.int64).max:
         raise SimulationError(
             f"line_hit_fraction: {size} accesses at window {window} over "
-            f"{int(line_ids.max()) + 1} lines overflow its int64 keys"
+            f"{top + 1} lines overflow its int64 keys"
         )
     keys = line_ids  # a fresh array: the floor division allocated it
     keys *= span
