@@ -1,7 +1,7 @@
 """Out-of-core scale tier: peak-RSS flatness and warm-latency benchmark.
 
 Two claims from the zero-copy array lifecycle, each measured in a fresh
-subprocess so ``ru_maxrss`` (a per-process high-water mark) is meaningful:
+subprocess so ``VmHWM`` (a per-process high-water mark) is meaningful:
 
 * **Warm mmap loads stay flat.**  Loading the same cached graph
   ``LOADS`` times under ``REPRO_MMAP=1`` keeps peak RSS near *one* graph
@@ -56,30 +56,39 @@ BUILD_PEAK_RATIO = 2.1
 #: Warm full-scan latency on resident pages: mmap within 20% of eager.
 QUERY_LATENCY_RATIO = 1.2
 
-#: Shared peak-RSS helpers for the child scripts.  A fork+exec'd child
-#: inherits the parent's RSS high-water mark on Linux, so under a large
-#: pytest parent ``ru_maxrss`` starts above the child's real peak and
-#: every delta reads zero — reset the counter (``clear_refs`` code 5)
-#: after imports and read ``VmHWM`` directly.
+#: Shared peak-RSS helpers for the child scripts.  An exec'd child's
+#: ``VmHWM`` covers only its own life (``ru_maxrss`` would carry the
+#: pytest parent's peak over the exec), but that life includes start-up.
+#: So each child takes its baseline after imports (``VmRSS``, with the
+#: ``VmHWM`` of that moment) and reads ``VmHWM`` again at the end: the
+#: difference is the measured region's peak above the baseline only when
+#: that end reading exceeds start-up's high-water mark, which
+#: ``peak_above`` checks.  A child that cannot tell fails with a message.
 _RSS_HELPERS = r"""
-import resource
+import sys
 
-def reset_peak():
-    try:
-        with open("/proc/self/clear_refs", "w") as f:
-            f.write("5")
-    except OSError:
-        pass
-
-def rss():
+def vm(field):
     try:
         with open("/proc/self/status") as f:
             for line in f:
-                if line.startswith("VmHWM:"):
+                if line.startswith(field + ":"):
                     return int(line.split()[1]) * 1024
     except OSError:
         pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    sys.exit(f"{field} cannot be read from /proc/self/status: no peak RSS")
+
+def baseline():
+    return vm("VmRSS"), vm("VmHWM")
+
+def peak_above(base):
+    rss, startup_hwm = base
+    hwm = vm("VmHWM")
+    if hwm <= startup_hwm:
+        sys.exit(
+            f"VmHWM {hwm} B at the end does not exceed the {startup_hwm} B "
+            "read at the baseline: the peak would be start-up's"
+        )
+    return hwm - rss
 """
 
 _LOAD_CHILD = _RSS_HELPERS + r"""
@@ -97,8 +106,7 @@ else:
 import numpy as np
 from repro import store
 
-reset_peak()
-base = rss()
+base = baseline()
 t0 = time.perf_counter()
 graphs = [store.load_graph("powerlaw-ooc", scale=scale) for _ in range(loads)]
 load_s = time.perf_counter() - t0
@@ -123,7 +131,7 @@ footprint = sum(
     for a in (g.csr.offsets, g.csr.adj, g.csc.offsets, g.csc.adj)
 )
 print(json.dumps({
-    "mode": mode, "peak_minus_base": rss() - base, "footprint": footprint,
+    "mode": mode, "peak_minus_base": peak_above(base), "footprint": footprint,
     "load_s": load_s, "query_best_s": best, "acc": acc,
 }))
 """
@@ -142,8 +150,7 @@ from repro.graph.datasets import (
 )
 from repro.store.chunked import build_graph_from_chunks  # noqa: F401
 
-reset_peak()
-base = rss()
+base = baseline()
 t0 = time.perf_counter()
 if mode == "streaming":
     g = build_powerlaw_ooc(scale=scale, shards=shards)
@@ -167,7 +174,7 @@ footprint = sum(
     for a in (g.csr.offsets, g.csr.adj, g.csc.offsets, g.csc.adj)
 )
 print(json.dumps({
-    "mode": mode, "peak_minus_base": rss() - base, "footprint": footprint,
+    "mode": mode, "peak_minus_base": peak_above(base), "footprint": footprint,
     "build_s": build_s,
     "digest": int(np.asarray(g.csr.adj)[:100].sum()),
 }))

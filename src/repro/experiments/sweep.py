@@ -293,8 +293,10 @@ def _attach_worker_obs(cache_root: str | None) -> None:
     carries across the process boundary.  Setting the sink explicitly
     (idempotent, per task, like :func:`_register_cache_machines`) makes
     every process of one sweep log into the same ``<cache>/obs/`` tree;
-    each worker still owns its private ``events-<pid>.jsonl``, merged by
-    the orchestrator when the pool completes."""
+    each worker still owns its private ``events-<pid>-<writer>.jsonl``,
+    whose path it reports with each group's results
+    (:func:`_worker_run_group`) so that the orchestrator merges exactly
+    those files when the pool completes."""
     if not obs.enabled():
         return
     if cache_root is not None and not os.environ.get(obs.OBS_DIR_ENV_VAR):
@@ -322,8 +324,9 @@ def _worker_run_group(
 ) -> dict:
     """Pool entry point: one execution, per-cell pricing.
 
-    Returns the serialized results in group order plus the replay flag
-    (one flag for the whole group: its cells share the execution).
+    Returns the serialized results in group order, the replay flag (one
+    flag for the whole group: its cells share the execution) and the
+    worker's event file (``None`` when it has none).
     ``cache_root`` rather than a cache object crosses the process
     boundary, keeping the task payload picklable under every start
     method.  ``None`` means the orchestrator ran cache-less, so the
@@ -336,7 +339,11 @@ def _worker_run_group(
     results, replayed = _compute_group(
         group, cache, _WORKER_GRAPHS, _WORKER_PREPARED, replay_only=replay_only
     )
-    return {"results": [r.to_dict() for r in results], "replayed": replayed}
+    return {
+        "results": [r.to_dict() for r in results],
+        "replayed": replayed,
+        "events": obs.events_path(),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -385,18 +392,21 @@ def run_cells(
     ``replayed`` from the trace store.
     """
     cells = list(cells)
+    worker_events: set = set()
     with obs.span("sweep.run", cat="sweep", cells=len(cells), jobs=int(jobs)):
         try:
             return _run_cells_inner(
                 cells, jobs=jobs, store=store, resume=resume, cache=cache,
                 replay_only=replay_only, progress=progress, stats=stats,
+                worker_events=worker_events,
             )
         finally:
             if obs.enabled():
-                # Fold finished workers' event files into ours, then
-                # persist the metrics the run accumulated (cache hit
+                # Fold the event files the pool workers reported into ours
+                # (the pool has exited, so none is still being written),
+                # then persist the metrics the run accumulated (cache hit
                 # counters, band-imbalance histograms, cell counts).
-                obs.merge_process_files()
+                obs.merge_process_files(sorted(worker_events))
                 obs.flush_metrics()
 
 
@@ -410,6 +420,7 @@ def _run_cells_inner(
     replay_only: bool,
     progress: ProgressFn | None,
     stats: dict | None,
+    worker_events: set,
 ) -> list[ExperimentResult]:
     from repro.store import resolve_cache
 
@@ -523,6 +534,8 @@ def _run_cells_inner(
                         [ExperimentResult.from_dict(d) for d in payload["results"]],
                         payload["replayed"],
                     )
+                    if payload["events"] is not None:
+                        worker_events.add(payload["events"])
                 outstanding = {f for f in outstanding if not f.cancelled()}
         if failure is not None:
             cell, exc = failure

@@ -111,7 +111,6 @@ class FrameworkModel:
     name: str
     scheduler: str           # "cilk" | "static" | "static-hier" | "numa-hier" | "dynamic"
     default_partitions: int  # accounting-chunk count fed to the trace
-    numa_partitions: int     # partitions the real system materializes
     numa_aware: bool                  # partition data homed on sockets?
     locality_optimized: bool          # system exploits COO/Hilbert locality
     topology: NUMATopology = PAPER_MACHINE
@@ -318,7 +317,6 @@ LIGRA = FrameworkModel(
     name="ligra",
     scheduler="cilk",
     default_partitions=ACCOUNTING_CHUNKS,
-    numa_partitions=1,
     numa_aware=False,
     locality_optimized=False,
 )
@@ -329,7 +327,6 @@ POLYMER = FrameworkModel(
     name="polymer",
     scheduler="static-hier",
     default_partitions=ACCOUNTING_CHUNKS,
-    numa_partitions=4,
     numa_aware=True,
     locality_optimized=True,
 )
@@ -340,7 +337,6 @@ GRAPHGRIND = FrameworkModel(
     name="graphgrind",
     scheduler="numa-hier",
     default_partitions=ACCOUNTING_CHUNKS,
-    numa_partitions=384,
     numa_aware=True,
     locality_optimized=True,
 )

@@ -36,20 +36,21 @@ On-disk layout
 --------------
 Events persist under the *obs directory* — ``REPRO_OBS_DIR`` if set,
 else ``<artifact cache root>/obs`` — as one append-only, versioned JSONL
-file **per process**: ``events-<pid>.jsonl``, written and read through
-:mod:`repro.store.appendlog` like every other log of the repository (one
-``os.write`` per event on a descriptor held open for the process, orphan
-tails terminated, undecodable lines skipped on read).  One writer per file
-means no cross-process locking; within a process a lock serializes writes,
-so lines never interleave.  :func:`merge_process_files` folds finished
-workers' files into the calling process's own log (raw byte append —
-lossless by construction), which the sweep orchestrator does when its
-pool completes.  A writer's first line in a file (its ``process_name``
-metadata) records its start time where ``/proc`` gives it, so a file is
-only taken for live while its pid is alive *with that start time*: a
-recycled pid does not strand a dead worker's events.  Every line
-carries ``{"v": EVENT_VERSION, "seq", "ts", "pid", "tid", "ph", "name",
-"cat", "args"}``; ``ts`` is microseconds since the epoch derived from one
+file **per writer**: each process draws a random *writer id* when it
+first opens its sink (a forked child draws its own) and writes
+``events-<pid>-<writer>.jsonl``, through :mod:`repro.store.appendlog`
+like every other log of the repository (one ``os.write`` per event on a
+descriptor held open for the process, orphan tails terminated,
+undecodable lines skipped on read).  The writer's first line in its file
+(its ``process_name`` metadata) records the id, so a pid that the OS
+hands to a later process names a different writer.  One writer per file
+means no cross-process locking; within a process a lock serializes
+writes, so lines never interleave.  :func:`merge_process_files` folds the
+files it is given into the calling process's own log (raw byte append —
+lossless by construction): the sweep orchestrator passes the files its
+pool workers reported, once the pool has exited.  Every line carries
+``{"v": EVENT_VERSION, "seq", "ts", "pid", "tid", "ph", "name", "cat",
+"args"}``; ``ts`` is microseconds since the epoch derived from one
 ``perf_counter`` base per process, so timestamps are monotonic per thread
 and comparable across processes.
 """
@@ -60,7 +61,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "EVENT_VERSION",
@@ -139,7 +140,7 @@ class force_enabled:
 
 
 # ----------------------------------------------------------------------
-# sink: one append-only JSONL file per process
+# sink: one append-only JSONL file per writer
 # ----------------------------------------------------------------------
 
 class _Sink:
@@ -147,9 +148,10 @@ class _Sink:
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.pid: int | None = None
-        self.sig: tuple | None = None     # env signature the path was resolved under
-        self.path: Path | None = None
+        self.pid: int | None = None       # the process that drew ``writer``
+        self.writer = ""                  # random id naming this process's writes
+        self.sig: tuple | None = None     # env signature the file was opened under
+        self.path: Path | None = None     # the file open on ``fd``
         self.fd: int | None = None
         self.seq = 0
         #: wall-clock microseconds at perf_counter zero — one per process,
@@ -189,12 +191,12 @@ def resolve_obs_dir() -> Path | None:
     return default_cache_root() / "obs"
 
 
-def events_path(pid: int | None = None) -> Path | None:
-    """The event file this process (or ``pid``) writes."""
-    root = resolve_obs_dir()
-    if root is None:
-        return None
-    return root / f"events-{os.getpid() if pid is None else pid}.jsonl"
+def events_path() -> Path | None:
+    """The event file this process has open,
+    ``events-<pid>-<writer>.jsonl`` (``None`` before the process's first
+    event, and while events have nowhere to go)."""
+    s = _SINK
+    return s.path if s.pid == os.getpid() else None
 
 
 def _now_us() -> int:
@@ -202,7 +204,7 @@ def _now_us() -> int:
 
 
 def _ensure_open() -> bool:
-    """(Re)open the per-process file; returns False when events have
+    """(Re)open this process's event file; returns False when events have
     nowhere to go.  Called under the sink lock."""
     s = _SINK
     pid = os.getpid()
@@ -216,20 +218,21 @@ def _ensure_open() -> bool:
     if s.fd is not None and s.sig == sig:
         return True
     _close_locked()
-    path = events_path()
-    if path is None:
-        s.sig = sig
+    s.sig = sig
+    root = resolve_obs_dir()
+    if root is None:
         return False
-    if s.pid != pid or s.epoch_us == 0:
-        # First open in this process (or first after a fork): anchor the
-        # clock and restart the sequence counter.
+    if s.pid != pid:
+        # First open in this process (or first after a fork): draw the
+        # writer id, anchor the clock and restart the sequence counter.
+        s.pid = pid
+        s.writer = os.urandom(8).hex()
         s.perf0_ns = time.perf_counter_ns()
         s.epoch_us = time.time_ns() // 1000 - (
             time.perf_counter_ns() - s.perf0_ns
         ) // 1000
         s.seq = 0
-    s.pid = pid
-    s.sig = sig
+    path = root / f"events-{pid}-{s.writer}.jsonl"
     from repro.store.appendlog import open_log
 
     try:
@@ -237,11 +240,7 @@ def _ensure_open() -> bool:
     except OSError:
         return False
     s.path = path
-    meta = {"name": "repro"}
-    start = _process_start(pid)
-    if start is not None:
-        meta["start"] = start
-    _write_locked("M", "process_name", meta, cat="meta")
+    _write_locked("M", "process_name", {"name": "repro", "writer": s.writer}, cat="meta")
     return True
 
 
@@ -252,6 +251,7 @@ def _close_locked() -> None:
         except OSError:  # pragma: no cover - best effort
             pass
         _SINK.fd = None
+    _SINK.path = None
 
 
 def _write_locked(ph: str, name: str, args: dict | None, cat: str = "") -> None:
@@ -290,7 +290,6 @@ def reset() -> None:
     with _SINK.lock:
         _close_locked()
         _SINK.sig = None
-        _SINK.path = None
     _EXPLICIT_DIR = None
     _METRICS.clear()
 
@@ -546,25 +545,28 @@ def _event(line) -> dict | None:
 
 
 def iter_writers(events) -> Iterator[tuple[tuple, dict]]:
-    """Each event with its writer, ``(pid, start)``: the start time that
-    the latest ``process_name`` line of its pid so far records, or 0 when
-    none does.  Two processes that held one pid in turn are two writers
-    (each numbers its events from seq 1); lines without a recorded start
-    (older logs) all belong to one writer per pid."""
-    starts: dict = {}
+    """Each event with its writer, ``(pid, writer id)``: the id that the
+    latest ``process_name`` line of its pid so far records, or ``None``
+    when none does.  Two processes that held one pid in turn are two
+    writers (each numbers its events from seq 1).  Logs written before
+    writer ids recorded the writer's start time in their place, and that
+    serves as the id; lines without either all belong to one writer per
+    pid."""
+    writers: dict = {}
     for evt in events:
         pid = evt.get("pid", 0) if isinstance(evt, dict) else None
-        start = _recorded_start(evt)
-        if start is not None:
-            starts[pid] = start
-        yield (pid, starts.get(pid, 0)), evt
+        writer = _recorded_writer(evt)
+        if writer is not None:
+            writers[pid] = writer
+        yield (pid, writers.get(pid)), evt
 
 
 def read_events(where: str | os.PathLike | None = None) -> list[dict]:
     """Every valid event line under the obs directory (or an explicit
-    file/directory), in (pid, writer start, seq) order: a process that
-    reused a dead writer's pid and appended to its file reads back after
-    it (:func:`iter_writers`, applied to each file in file order).
+    file/directory), in (pid, writer, seq) order, where the writers of one
+    pid read back in the order they opened: by the ``ts`` of each one's
+    first line, its ``process_name`` (:func:`iter_writers`, applied to
+    each file in file order).
 
     Tolerant like every log reader in this repository
     (:func:`repro.store.appendlog.read_log`): undecodable lines (a write
@@ -583,88 +585,39 @@ def read_events(where: str | os.PathLike | None = None) -> list[dict]:
             keyed.extend(iter_writers(read_log(path, _event)))
         except OSError:
             continue
-    keyed.sort(key=lambda kv: (kv[0], kv[1].get("seq", 0)))
+    opened: dict = {}
+    for writer, evt in keyed:
+        opened.setdefault(writer, evt.get("ts", 0))
+    keyed.sort(key=lambda kv: (kv[0][0], opened[kv[0]], kv[1].get("seq", 0)))
     return [evt for _, evt in keyed]
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):  # pragma: no cover - exists, not ours
-        return True
-    return True
-
-
-def _process_start(pid: int) -> int | None:
-    """When process ``pid`` started, in clock ticks since boot (field 22
-    of ``/proc/<pid>/stat``), or ``None`` when that cannot be read (no
-    such process, or no ``/proc``).  A pid and its start time name one
-    process: a recycled pid has a later start."""
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as fh:
-            stat = fh.read()
-        # Field 2, the command name, is parenthesized and may itself hold
-        # spaces or parentheses; fields 3 onwards follow its last ")".
-        return int(stat[stat.rindex(b")") + 1 :].split()[19])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _recorded_start(evt) -> int | None:
-    """The writer start time a ``process_name`` line records, if any."""
+def _recorded_writer(evt) -> str | int | None:
+    """The writer id a ``process_name`` line records, if any: its
+    ``writer``, or the ``start`` that older logs recorded instead."""
     if _event(evt) is None or evt.get("ph") != "M" or evt.get("name") != "process_name":
         return None
     args = evt.get("args")
-    start = args.get("start") if isinstance(args, dict) else None
-    return start if isinstance(start, int) else None
+    writer = args.get("writer", args.get("start")) if isinstance(args, dict) else None
+    return writer if isinstance(writer, (str, int)) else None
 
 
-def _writer_alive(path: Path, pid: int) -> bool:
-    """Whether the process that writes ``path``, the event file named for
-    ``pid``, may still be running: ``pid`` is alive with a start time
-    that one of the file's writers recorded on its first line there.  A
-    file that records none (an older log), or a host whose ``/proc``
-    cannot be read, keeps the bare-pid rule."""
-    from repro.store.appendlog import read_log
+def merge_process_files(paths: Iterable[str | os.PathLike]) -> int:
+    """Fold the event files at ``paths`` into this process's own log.
 
-    start = _process_start(pid)
-    if start is None:
-        return _pid_alive(pid)
-    try:
-        recorded = read_log(path, _recorded_start)
-    except OSError:
-        recorded = []
-    return not recorded or start in recorded
-
-
-def merge_process_files(where: str | os.PathLike | None = None) -> int:
-    """Fold finished processes' event files into this process's own log.
-
-    Lossless by construction: each foreign file's raw bytes are appended
-    verbatim to our file in one write, then the source is deleted.  Files
-    of a *live* writer (another process mid-write — our own included)
-    are left alone; a live pid whose start time differs from every one
-    the file records is a recycled pid, and its file is merged.  Returns
-    the number of files merged.  The sweep orchestrator calls this after
-    its worker pool has exited, so one run's events end up in one file
-    regardless of how many workers it fanned out.
+    Lossless by construction: each file's raw bytes are appended verbatim
+    to our file in one write, then the file is deleted; a file that
+    cannot be read is left out.  The caller vouches that every writer of
+    those files has exited: the sweep orchestrator passes the files its
+    pool workers reported, after the pool has shut down, so one run's
+    events end up in one file however many workers it fanned out.
+    Returns the number of files merged.
     """
     from repro.store.appendlog import write_log
 
-    root = Path(where) if where is not None else resolve_obs_dir()
-    if root is None or not root.is_dir():
-        return 0
     merged = 0
-    own = os.getpid()
-    for path in sorted(root.glob("events-*.jsonl")):
-        try:
-            pid = int(path.stem.rsplit("-", 1)[1])
-        except (IndexError, ValueError):
-            continue
-        if pid == own or _writer_alive(path, pid):
-            continue
+    for path in paths:
+        path = Path(path)
         try:
             blob = path.read_bytes()
         except OSError:

@@ -6,9 +6,9 @@ spec, so export is nearly identity: ``B``/``E``/``I``/``C``/``M`` lines
 map to the phases of the same name, ``ts`` is already microseconds, and
 ``tid`` carries through.  Differences handled here:
 
-* each writer (:func:`~repro.obs.core.iter_writers`) gets its own Chrome
-  ``pid``, so two processes that held one pid in turn land on two
-  tracks: the first writer of a pid keeps it, a later one gets
+* each writer, a (pid, writer id) pair (:func:`~repro.obs.core.iter_writers`),
+  gets its own Chrome ``pid``, so two processes that held one pid in turn
+  land on two tracks: the first writer of a pid keeps it, a later one gets
   ``pid + k * 2**22`` (above Linux's pid ceiling) for the smallest
   ``k >= 1`` no other writer uses, and its ``process_name`` names the
   real pid;
@@ -35,20 +35,20 @@ __all__ = ["to_chrome_trace", "export_chrome"]
 
 
 def _chrome_pids(writers: list[tuple]) -> dict[tuple, int]:
-    """One distinct Chrome pid per writer ``(pid, start)``, in first-seen
+    """One distinct Chrome pid per writer ``(pid, writer id)``, in first-seen
     order: a pid's first writer keeps it, later ones move up in strides
     of Linux's pid ceiling (``pid_max`` <= 2**22), so never onto a real pid."""
     used = {pid for pid, _ in writers}
     seen: set = set()
     out: dict[tuple, int] = {}
-    for pid, start in writers:
+    for pid, writer in writers:
         mapped = pid
         if pid in seen:
             while mapped in used:
                 mapped += 1 << 22
             used.add(mapped)
         seen.add(pid)
-        out[(pid, start)] = mapped
+        out[(pid, writer)] = mapped
     return out
 
 

@@ -1,12 +1,12 @@
 """Event-log schema: field contracts and validation.
 
-Every line in ``events-<pid>.jsonl`` is one JSON object:
+Every line in ``events-<pid>-<writer>.jsonl`` is one JSON object:
 
 ====== ======= =====================================================
 field  type    meaning
 ====== ======= =====================================================
 v      int     schema version (:data:`repro.obs.core.EVENT_VERSION`)
-seq    int     per-process sequence number, starts at 1, gap-free
+seq    int     per-writer sequence number, starts at 1, gap-free
                within one process lifetime
 ts     int     microseconds since the Unix epoch (per-process
                ``perf_counter`` base — monotonic per thread)
@@ -21,6 +21,10 @@ cat    str     coarse category for filtering ("store", "engine",
 args   object  optional payload — context attributes merged with the
                event's own keyword arguments
 ====== ======= =====================================================
+
+A writer is one process: its first line in its file, a ``process_name``
+metadata line, records the random writer id in ``args.writer``
+(:func:`repro.obs.core.iter_writers`).
 
 Versioning: readers skip lines whose ``v`` differs from theirs (the log
 is append-only and may span repo versions).  A field may gain meaning
@@ -82,10 +86,10 @@ def validate_event(evt: object) -> list[str]:
 def validate_events(events: list[dict]) -> list[str]:
     """Problems across a whole event list: per-event validity plus the
     cross-event invariants (monotonic ts per writer thread, increasing seq
-    per writer).  A writer is one process, a pid with the start time its
+    per writer).  A writer is one process, a pid with the writer id its
     ``process_name`` line records (:func:`repro.obs.core.iter_writers`):
     the checks restart when a later process that held the same pid
-    records its own start."""
+    records its own id."""
     problems: list[str] = []
     last_ts: dict[tuple, int] = {}
     last_seq: dict[tuple, int] = {}

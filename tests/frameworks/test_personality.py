@@ -48,15 +48,15 @@ class TestPersonalityConfig:
 
     def test_paper_configuration(self):
         assert LIGRA.scheduler == "cilk" and not LIGRA.numa_aware
-        assert POLYMER.scheduler == "static-hier" and POLYMER.numa_partitions == 4
+        assert POLYMER.scheduler == "static-hier"
         assert GRAPHGRIND.scheduler == "numa-hier"
-        assert GRAPHGRIND.numa_partitions == ACCOUNTING_CHUNKS == 384
+        assert GRAPHGRIND.default_partitions == ACCOUNTING_CHUNKS == 384
 
     def test_invalid_scheduler_rejected(self):
         with pytest.raises(SimulationError):
             FrameworkModel(
                 name="x", scheduler="quantum", default_partitions=4,
-                numa_partitions=1, numa_aware=False, locality_optimized=False,
+                numa_aware=False, locality_optimized=False,
             )
 
 
@@ -80,11 +80,11 @@ class TestPricing:
     def test_non_numa_system_pays_remote(self, pr_trace):
         # identical trace priced with and without NUMA awareness
         aware = FrameworkModel(
-            name="a", scheduler="cilk", default_partitions=48, numa_partitions=1,
+            name="a", scheduler="cilk", default_partitions=48,
             numa_aware=True, locality_optimized=True,
         )
         unaware = FrameworkModel(
-            name="u", scheduler="cilk", default_partitions=48, numa_partitions=1,
+            name="u", scheduler="cilk", default_partitions=48,
             numa_aware=False, locality_optimized=True,
         )
         assert (
@@ -98,11 +98,11 @@ class TestPricing:
         trace = pagerank(social, num_iterations=2, num_partitions=384).trace
         static = FrameworkModel(
             name="s", scheduler="static-hier", default_partitions=384,
-            numa_partitions=4, numa_aware=True, locality_optimized=True,
+            numa_aware=True, locality_optimized=True,
         )
         dynamic = FrameworkModel(
             name="d", scheduler="numa-hier", default_partitions=384,
-            numa_partitions=4, numa_aware=True, locality_optimized=True,
+            numa_aware=True, locality_optimized=True,
         )
         loc = (0.2, 0.05)
         assert (
@@ -166,7 +166,7 @@ def matrix_traces(social):
 #: The flat schedulers no built-in personality uses.
 FLAT = {
     name: FrameworkModel(name=name, scheduler=name, default_partitions=384,
-                         numa_partitions=1, numa_aware=aware, locality_optimized=aware)
+                         numa_aware=aware, locality_optimized=aware)
     for name, aware in (("static", True), ("dynamic", False))
 }
 
@@ -188,7 +188,7 @@ def test_zero_vertex_vertexmap_prices_zero_when_numa_aware(matrix_traces, locali
     trace = matrix_traces[("hand", "zero-vertex")]
     for model in (POLYMER, GRAPHGRIND, FrameworkModel(
             name="numa-cilk", scheduler="cilk", default_partitions=384,
-            numa_partitions=1, numa_aware=True, locality_optimized=True)):
+            numa_aware=True, locality_optimized=True)):
         per_iter = model.price(trace, locality=locality).per_iteration
         assert per_iter[1] == per_iter[4] == 0.0
         assert per_iter[0] > 0 and per_iter[2] > 0

@@ -4,6 +4,7 @@ stay monotonic per thread."""
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -67,6 +68,16 @@ class TestThreadConcurrency:
             assert set(evt["args"]) == {"worker", "i"}
 
 
+def earlier_run_file(obs_dir):
+    """The event file of an earlier process, left in the obs directory."""
+    path = obs_dir / "events-999999999.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    evt = {"v": obs.EVENT_VERSION, "seq": 1, "ts": 1, "pid": 999999999,
+           "tid": 1, "ph": "I", "name": "earlier", "cat": ""}
+    path.write_text(json.dumps(evt) + "\n", encoding="utf-8")
+    return path
+
+
 class TestProcessPoolSweep:
     def test_worker_files_merge_losslessly(self, obs_dir, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
@@ -76,17 +87,22 @@ class TestProcessPoolSweep:
             ["original", "vebo"], params={"scale": 0.02},
             algo_kwargs={"PR": {"num_iterations": 2}},
         )
+        earlier = earlier_run_file(obs_dir)
+        before = earlier.read_bytes()
         run_cells(cells, jobs=2, store=store, resume=True, cache=cache)
 
-        events = obs.read_events(obs_dir)
-        assert validate_events(events) == []
-        pids = {e["pid"] for e in events}
-        assert len(pids) >= 2  # orchestrator + at least one worker
-
-        # The sweep wrapper merged every finished worker's file into the
-        # orchestrator's own: exactly one file remains.
+        # The sweep wrapper merged exactly its workers' files into the
+        # orchestrator's own: one file remains beside the earlier run's,
+        # which the sweep left as it was.
         files = sorted(obs_dir.glob("events-*.jsonl"))
-        assert [f.name for f in files] == [f"events-{os.getpid()}.jsonl"]
+        assert sorted(f.name for f in files) == sorted(
+            [earlier.name, obs.events_path().name])
+        assert earlier.read_bytes() == before
+
+        events = obs.read_events(obs.events_path())
+        assert validate_events(events) == []
+        writers = {e["args"]["writer"] for e in events if e["name"] == "process_name"}
+        assert len(writers) >= 2  # orchestrator + at least one worker
 
         # Lossless: every cell's lifecycle is present.
         statuses = [
@@ -99,3 +115,14 @@ class TestProcessPoolSweep:
             e["name"] == "run.execute" and e["pid"] != os.getpid()
             for e in events
         )
+
+    def test_inline_sweep_merges_nothing(self, obs_dir, tmp_path):
+        earlier = earlier_run_file(obs_dir)
+        before = earlier.read_bytes()
+        cells = expand_matrix(
+            ["powerlaw"], ["PR"], ["ligra"], ["original", "vebo"],
+            params={"scale": 0.02}, algo_kwargs={"PR": {"num_iterations": 2}},
+        )
+        run_cells(cells, jobs=1, cache=ArtifactCache(tmp_path / "cache"))
+        assert earlier.read_bytes() == before
+        assert "earlier" not in {e["name"] for e in obs.read_events(obs.events_path())}

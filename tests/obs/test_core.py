@@ -5,20 +5,31 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.obs import core
+from repro.obs.export import to_chrome_trace
+from repro.obs.schema import validate_events
 
 
-def read_own_file(obs_dir):
-    path = obs_dir / f"events-{os.getpid()}.jsonl"
-    with open(path, "r", encoding="utf-8") as fh:
+def read_own_file():
+    with open(obs.events_path(), "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def _line(seq, ts, ph, event, pid=4242, **args):
+    """One event-log line of writer ``pid`` on thread 1."""
+    evt = {"v": core.EVENT_VERSION, "seq": seq, "ts": ts, "pid": pid,
+           "tid": 1, "ph": ph, "name": event, "cat": ""}
+    return {**evt, "args": args} if args else evt
+
+
+def _write_lines(path, events):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+    return path
 
 
 class TestGate:
@@ -57,7 +68,7 @@ class TestSpansAndEvents:
         with obs.span("work.outer", cat="test", depth=0):
             with obs.span("work.inner", cat="test", depth=1):
                 pass
-        events = [e for e in read_own_file(obs_dir) if e["ph"] in ("B", "E")]
+        events = [e for e in read_own_file() if e["ph"] in ("B", "E")]
         assert [(e["ph"], e["name"]) for e in events] == [
             ("B", "work.outer"), ("B", "work.inner"),
             ("E", "work.inner"), ("E", "work.outer"),
@@ -69,19 +80,19 @@ class TestSpansAndEvents:
         with pytest.raises(ValueError):
             with obs.span("work.fails"):
                 raise ValueError("boom")
-        end = [e for e in read_own_file(obs_dir) if e["ph"] == "E"][-1]
+        end = [e for e in read_own_file() if e["ph"] == "E"][-1]
         assert end["args"] == {"error": "ValueError"}
 
     def test_instant_event(self, obs_dir):
         obs.event("cache.get", cat="store", kind="graph", hit=False)
-        evt = [e for e in read_own_file(obs_dir) if e["ph"] == "I"][-1]
+        evt = [e for e in read_own_file() if e["ph"] == "I"][-1]
         assert evt["name"] == "cache.get"
         assert evt["args"] == {"kind": "graph", "hit": False}
 
     def test_seq_gap_free_and_ts_monotonic(self, obs_dir):
         for i in range(20):
             obs.event("tick", i=i)
-        events = read_own_file(obs_dir)
+        events = read_own_file()
         # Gap-free within the process lifetime: consecutive from wherever
         # the per-process counter stood when this file opened.
         seqs = [e["seq"] for e in events]
@@ -96,7 +107,7 @@ class TestSpansAndEvents:
                 obs.event("engine.step", step=4)
             # An event's own args beat any context frame.
             obs.event("engine.step", step=5, graph="override")
-        a, b, c = [e for e in read_own_file(obs_dir) if e["name"] == "engine.step"]
+        a, b, c = [e for e in read_own_file() if e["name"] == "engine.step"]
         assert a["args"] == {"graph": "twitter", "ordering": "vebo", "step": 3}
         assert b["args"] == {"graph": "twitter", "ordering": "original", "step": 4}
         assert c["args"]["graph"] == "override"
@@ -104,8 +115,8 @@ class TestSpansAndEvents:
     def test_read_events_orders_and_tolerates_garbage(self, obs_dir):
         obs.event("one")
         obs.event("two")
+        path = obs.events_path()
         core.reset()  # close so we can append garbage safely
-        path = obs_dir / f"events-{os.getpid()}.jsonl"
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{truncated by a kill\n")
             fh.write(json.dumps({"v": 999, "seq": 1}) + "\n")  # foreign version
@@ -115,8 +126,8 @@ class TestSpansAndEvents:
 
     def test_event_after_torn_tail_is_not_glued_onto_it(self, obs_dir):
         obs.event("one")
+        path = obs.events_path()
         core.reset()
-        path = obs_dir / f"events-{os.getpid()}.jsonl"
         with open(path, "ab") as fh:
             fh.write(b'{"v": 1, "seq": 99, "trunca')  # killed mid-write
         obs.event("two")
@@ -142,140 +153,118 @@ class TestSpansAndEvents:
         try:
             obs.event("here")
             assert core.resolve_obs_dir() == explicit
-            assert (explicit / f"events-{os.getpid()}.jsonl").exists()
+            assert obs.events_path().parent == explicit
+            assert obs.events_path().exists()
         finally:
             obs.set_obs_dir(None)
 
-    def test_merge_process_files_appends_dead_pid_lines(self, obs_dir):
+    def test_merge_process_files_appends_the_listed_files(self, obs_dir):
         obs.event("mine")
-        # Fabricate a file from a pid that cannot be alive (and is not ours).
-        dead = obs_dir / "events-999999999.jsonl"
-        foreign = {
-            "v": core.EVENT_VERSION, "seq": 1, "ts": 1, "pid": 999999999,
-            "tid": 1, "ph": "I", "name": "foreign", "cat": "",
-        }
-        dead.write_text(json.dumps(foreign) + "\n", encoding="utf-8")
-        assert obs.merge_process_files(obs_dir) == 1
-        assert not dead.exists()
-        names = {e["name"] for e in read_own_file(obs_dir)}
+        # A finished writer that held this process's pid, and another
+        # run's file: only the listed one is merged, whatever its pid.
+        listed = _write_lines(obs_dir / f"events-{os.getpid()}-{'0' * 16}.jsonl",
+                              [_line(1, 1, "I", "foreign", pid=os.getpid())])
+        unlisted = _write_lines(obs_dir / "events-999999999.jsonl",
+                                [_line(1, 1, "I", "bystander", pid=999999999)])
+        assert obs.merge_process_files([listed]) == 1
+        assert not listed.exists()
+        assert unlisted.exists()
+        names = {e["name"] for e in read_own_file()}
         assert {"mine", "foreign"} <= names
+        assert "bystander" not in names
 
-    def test_merge_skips_live_pids(self, obs_dir):
+    def test_merge_skips_files_it_cannot_read(self, obs_dir):
         obs.event("mine")
-        live = obs_dir / f"events-{os.getpid()}.jsonl"
-        assert obs.merge_process_files(obs_dir) == 0
-        assert live.exists()
+        before = obs.events_path().read_bytes()
+        assert obs.merge_process_files([obs_dir / "events-1-gone.jsonl"]) == 0
+        assert obs.events_path().read_bytes() == before
 
 
-_WRITER = """
-import sys, time
-from repro import obs
-obs.event("child")
-print("ready", flush=True)
-time.sleep(float(sys.argv[1]))
-"""
+class TestWriterIds:
+    """Each process draws a random writer id when it first opens its sink,
+    names its file after it and records it on its first line; readers
+    tell writers apart by (pid, writer id)."""
 
-
-@pytest.fixture
-def live_writer(obs_dir):
-    """A live child process that has written its own event file (it
-    inherits the obs directory) and sleeps; killed on teardown."""
-    root = Path(__file__).resolve().parents[2]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    child = subprocess.Popen(
-        [sys.executable, "-c", _WRITER, "60"], env=env,
-        stdout=subprocess.PIPE, text=True,
-    )
-    try:
-        assert child.stdout.readline().strip() == "ready"
-        yield child
-    finally:
-        child.kill()
-        child.wait(timeout=30)
-
-
-class TestRecycledPids:
-    """An event file is live only while its pid is alive with the start
-    time its writer recorded; a recycled pid's file is a dead writer's."""
-
-    def test_live_writer_records_its_start_and_is_not_merged(self, obs_dir, live_writer):
-        start = core._process_start(live_writer.pid)
-        if start is None:
-            pytest.skip("process start times are not readable on this host")
-        path = obs_dir / f"events-{live_writer.pid}.jsonl"
+    def test_file_and_first_line_carry_the_writer_id(self, obs_dir):
+        obs.event("mine")
+        path = obs.events_path()
+        _, pid, writer = path.stem.split("-")
+        assert int(pid) == os.getpid()
+        assert len(bytes.fromhex(writer)) == 8
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert (first["ph"], first["name"]) == ("M", "process_name")
-        assert first["args"]["start"] == start
+        assert first["args"] == {"name": "repro", "writer": writer}
+
+    def test_forked_child_writes_its_own_file_under_a_new_id(self, obs_dir):
+        obs.event("parent")
+        parent = obs.events_path()
+        child_pid = os.fork()
+        if child_pid == 0:  # the child: leave without running pytest's teardown
+            code = 1
+            try:
+                obs.event("child")
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(child_pid, 0)
+        assert status == 0
+        (child,) = set(obs_dir.glob("events-*.jsonl")) - {parent}
+        _, pid, writer = child.stem.split("-")
+        assert int(pid) == child_pid
+        assert writer != parent.stem.split("-")[2]
+        events = obs.read_events(child)
+        assert [(e["seq"], e["name"]) for e in events] == [(1, "process_name"), (2, "child")]
+        assert events[0]["args"]["writer"] == writer
+        assert "child" not in {e["name"] for e in obs.read_events(parent)}
+
+    def test_recycled_pid_writes_a_file_of_its_own(self, obs_dir):
+        """A process given a dead writer's pid leaves that writer's file
+        as it was."""
+        dead = _write_lines(
+            obs_dir / f"events-{os.getpid()}-{'0' * 16}.jsonl",
+            [_line(1, 1, "M", "process_name", pid=os.getpid(), name="repro",
+                   writer="0" * 16)],
+        )
+        before = dead.read_bytes()
         obs.event("mine")
-        assert obs.merge_process_files(obs_dir) == 0
-        assert path.exists()
+        assert obs.events_path() != dead
+        assert dead.read_bytes() == before
 
-    def test_file_of_a_recycled_pid_is_merged(self, obs_dir, live_writer):
-        start = core._process_start(live_writer.pid)
-        if start is None:
-            pytest.skip("process start times are not readable on this host")
-        obs.event("mine")
-        # A dead worker's file, named for the pid the live child now holds.
-        path = obs_dir / f"events-{live_writer.pid}.jsonl"
-        base = {"v": core.EVENT_VERSION, "ts": 1, "pid": live_writer.pid, "tid": 1}
-        stale = [
-            {**base, "seq": 1, "ph": "M", "name": "process_name", "cat": "meta",
-             "args": {"name": "repro", "start": start - 1}},
-            {**base, "seq": 2, "ph": "I", "name": "stranded", "cat": ""},
-        ]
-        path.write_text("".join(json.dumps(e) + "\n" for e in stale), encoding="utf-8")
-        assert obs.merge_process_files(obs_dir) == 1
-        assert not path.exists()
-        assert "stranded" in {e["name"] for e in read_own_file(obs_dir)}
-
-    def test_later_writer_of_a_recycled_pid_keeps_the_file_live(self, obs_dir, live_writer):
-        """A process given a dead writer's pid appends to its file; the
-        line it adds on opening keeps the file live."""
-        start = core._process_start(live_writer.pid)
-        if start is None:
-            pytest.skip("process start times are not readable on this host")
-        path = obs_dir / f"events-{live_writer.pid}.jsonl"
-        base = {"v": core.EVENT_VERSION, "ts": 1, "pid": live_writer.pid, "tid": 1}
-        dead = {**base, "seq": 1, "ph": "M", "name": "process_name", "cat": "meta",
-                "args": {"name": "repro", "start": start - 1}}
-        path.write_text(json.dumps(dead) + "\n" + path.read_text(encoding="utf-8"),
-                        encoding="utf-8")
-        obs.event("mine")
-        assert obs.merge_process_files(obs_dir) == 0
-        assert path.exists()
-
-    def test_later_writer_of_a_pid_reads_back_after_the_first(self, tmp_path):
-        """Both writers of one pid number their events from seq 1; the
-        later one reads back after the earlier one and validates clean."""
-        from repro.obs.schema import validate_events
-
-        def line(seq, ts, ph, event, **args):
-            evt = {"v": core.EVENT_VERSION, "seq": seq, "ts": ts, "pid": 4242,
-                   "tid": 1, "ph": ph, "name": event, "cat": ""}
-            return {**evt, "args": args} if args else evt
-
-        first = [line(1, 100, "M", "process_name", name="repro", start=100),
-                 line(2, 101, "B", "a"), line(3, 102, "E", "a")]
-        later = [line(1, 900, "M", "process_name", name="repro", start=900),
-                 line(2, 901, "I", "b")]
-        path = tmp_path / "events-4242.jsonl"
-        path.write_text("".join(json.dumps(e) + "\n" for e in first + later),
-                        encoding="utf-8")
-        events = obs.read_events(path)
+    def test_writers_of_one_pid_read_back_in_the_order_they_opened(self, tmp_path):
+        """Both writers of one pid number their events from seq 1; the one
+        that opened later reads back after the other, whatever their ids
+        and file names, and the log validates clean."""
+        first = [_line(1, 100, "M", "process_name", name="repro", writer="ff" * 8),
+                 _line(2, 101, "B", "a"), _line(3, 102, "E", "a")]
+        later = [_line(1, 900, "M", "process_name", name="repro", writer="00" * 8),
+                 _line(2, 901, "I", "b")]
+        _write_lines(tmp_path / f"events-4242-{'ff' * 8}.jsonl", first)
+        _write_lines(tmp_path / f"events-4242-{'00' * 8}.jsonl", later)
+        events = obs.read_events(tmp_path)
         assert events == first + later
         assert validate_events(events) == []
         assert [(b["name"], e["name"], d) for b, e, d in obs.iter_span_pairs(events)] == [
             ("a", "a", 1)]
 
-    def test_file_without_a_start_keeps_the_bare_pid_rule(self, obs_dir, live_writer):
-        path = obs_dir / f"events-{live_writer.pid}.jsonl"
-        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        for evt in lines:
-            evt.get("args", {}).pop("start", None)
-        path.write_text("".join(json.dumps(e) + "\n" for e in lines), encoding="utf-8")
-        obs.event("mine")
-        assert obs.merge_process_files(obs_dir) == 0
-        assert path.exists()
+    def test_log_that_records_start_times_reads_validates_and_exports(self, tmp_path):
+        """Logs written before writer ids recorded each writer's start
+        time on its ``process_name`` line, and a later process that held a
+        pid appended to the earlier one's file.  The start serves as the
+        writer id."""
+        first = [_line(1, 100, "M", "process_name", name="repro", start=100),
+                 _line(2, 101, "B", "killed")]
+        later = [_line(1, 900, "M", "process_name", name="repro", start=900),
+                 _line(2, 901, "B", "b"), _line(3, 902, "E", "b")]
+        path = _write_lines(tmp_path / "events-4242.jsonl", first + later)
+        events = obs.read_events(path)
+        assert events == first + later
+        assert validate_events(events) == []
+        assert [(b["name"], e["name"]) for b, e, _ in obs.iter_span_pairs(events)] == [
+            ("b", "b")]
+        out = to_chrome_trace(events)["traceEvents"]
+        assert len(out) == 5
+        pids = [e["pid"] for e in out]
+        assert pids[:2] == [4242, 4242] and pids[2] != 4242 and len(set(pids[2:])) == 1
 
 
 class TestMetrics:
@@ -302,7 +291,7 @@ class TestMetrics:
         obs.metrics().gauge("pool.workers", 2)
         obs.metrics().histogram("engine.band_time_imbalance").observe(1.5)
         obs.flush_metrics()
-        events = read_own_file(obs_dir)
+        events = read_own_file()
         counters = {e["name"]: e["args"]["value"] for e in events if e["ph"] == "C"}
         assert counters["cache.graph.hits"] == 4.0
         assert counters["pool.workers"] == 2.0

@@ -98,12 +98,13 @@ class TestChromeExport:
     def test_two_writers_of_one_pid_get_two_tracks(self, tmp_path):
         """A dead writer's unclosed span must not enclose the spans of the
         process that later held its pid: each writer is its own track."""
-        writer_a = [_line(1, 100, "M", "process_name", name="repro", start=100),
+        writer_a = [_line(1, 100, "M", "process_name", name="repro", writer="a"),
                     _line(2, 101, "B", "killed")]
-        writer_b = [_line(1, 900, "M", "process_name", name="repro", start=900),
+        writer_b = [_line(1, 900, "M", "process_name", name="repro", writer="b"),
                     _line(2, 901, "B", "b"), _line(3, 902, "E", "b")]
-        path = _write_log(tmp_path, 4242, writer_a + writer_b)
-        out = to_chrome_trace(obs.read_events(path))["traceEvents"]
+        _write_log(tmp_path, writer_a)
+        _write_log(tmp_path, writer_b)
+        out = to_chrome_trace(obs.read_events(tmp_path))["traceEvents"]
         assert len(out) == 5
         pid_a = {e["pid"] for e in out if e["name"] == "killed"}
         pid_b = {e["pid"] for e in out if e["name"] == "b"}
@@ -117,12 +118,10 @@ class TestChromeExport:
         """The moved writer must not land on the pid another writer in the
         export already has."""
         high = 4242 + 2**22
-        _write_log(tmp_path, 4242, [
-            _line(1, 100, "M", "process_name", name="repro", start=100),
-            _line(1, 900, "M", "process_name", name="repro", start=900),
-        ])
-        _write_log(tmp_path, high, [
-            _line(1, 500, "M", "process_name", name="repro", start=500, pid=high),
+        _write_log(tmp_path, [_line(1, 100, "M", "process_name", name="repro", writer="a")])
+        _write_log(tmp_path, [_line(1, 900, "M", "process_name", name="repro", writer="b")])
+        _write_log(tmp_path, [
+            _line(1, 500, "M", "process_name", name="repro", writer="c", pid=high),
         ])
         out = to_chrome_trace(obs.read_events(tmp_path))["traceEvents"]
         assert [e["pid"] for e in out] == [4242, 4242 + 2**23, high]
@@ -131,8 +130,8 @@ class TestChromeExport:
 
     def test_single_writers_keep_their_pids(self, tmp_path):
         for pid in (11, 12):
-            _write_log(tmp_path, pid, [
-                _line(1, 100, "M", "process_name", name="repro", start=100, pid=pid),
+            _write_log(tmp_path, [
+                _line(1, 100, "M", "process_name", name="repro", writer="a", pid=pid),
                 _line(2, 101, "B", "s", pid=pid), _line(3, 102, "E", "s", pid=pid),
             ])
         out = to_chrome_trace(obs.read_events(tmp_path))["traceEvents"]
@@ -147,7 +146,9 @@ def _line(seq, ts, ph, event, pid=4242, **args):
     return {**evt, "args": args} if args else evt
 
 
-def _write_log(root, pid, events):
-    path = root / f"events-{pid}.jsonl"
+def _write_log(root, events):
+    """The log of the writer whose ``process_name`` line opens ``events``."""
+    first = events[0]
+    path = root / f"events-{first['pid']}-{first['args']['writer']}.jsonl"
     path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
     return path

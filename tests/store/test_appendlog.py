@@ -5,8 +5,6 @@ reads back."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -52,8 +50,8 @@ def obs_log(tmp_path, names):
     with obs.force_enabled():
         for name in names:
             obs.event(name)
+    path = obs.events_path()
     core.reset()  # close the sink before the file is rewritten
-    path = root / f"events-{os.getpid()}.jsonl"
     return path, lambda: [e["name"] for e in obs.read_events(root) if e["ph"] == "I"]
 
 
