@@ -88,7 +88,7 @@ def betweenness_centrality(
             Frontier.from_ids(deeper, n), op_bwd, state_bwd, direction="auto"
         )
 
-    engine.trace.records.extend(engine_rev.trace.records)
+    engine.trace.extend(engine_rev.trace)
     bc = delta.copy()
     bc[source] = 0.0
     return AlgorithmResult(

@@ -56,9 +56,9 @@ def _cc_sync(graph: Graph, num_partitions: int, boundaries, max_iterations: int,
         mask = f_fwd.mask | f_bwd.mask
         frontier = Frontier.from_mask(mask)
         iterations += 1
-    # Merge the reverse engine's records into the primary trace so the
+    # Merge the reverse engine's steps into the primary trace so the
     # pricing layer sees all work.
-    engine.trace.records.extend(engine_rev.trace.records)
+    engine.trace.extend(engine_rev.trace)
     return state, engine.trace, iterations
 
 

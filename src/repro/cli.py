@@ -1055,7 +1055,7 @@ def _cmd_traces_build(args) -> int:
                 replayed += execution.replayed
                 _log.info(
                     f"{name}/{ordering}/{algo}: {tag} "
-                    f"({len(execution.trace.records)} step(s), {dt:.3f}s)"
+                    f"({len(execution.trace.steps)} step(s), {dt:.3f}s)"
                 )
     _log.info(f"traces build: {built} executed, {replayed} already stored")
     return 0

@@ -81,15 +81,6 @@ class ExperimentResult:
     ordering_seconds: float
     estimate: RuntimeEstimate
     machine: str = DEFAULT_MACHINE
-    #: Measured wall-clock of the execution behind this cell (summed
-    #: per-step critical path of the parallel backend's chunk timings),
-    #: or ``None`` when nothing was measured — replayed traces, and the
-    #: sequential backends, measure nothing.  Deliberately excluded from
-    #: :meth:`to_dict` and from equality: ``seconds`` is the *priced*
-    #: model output and must stay byte-identical whether the cell was
-    #: executed or replayed; the durable measured data lives in the
-    #: measurement store (:mod:`repro.store.measurements`).
-    measured_seconds: float | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         """JSON-representable encoding (lossless; see
@@ -143,13 +134,6 @@ class TraceExecution:
     trace: object            # WorkTrace
     iterations: int
     replayed: bool = False
-    #: Measured wall-clock seconds of this execution — the sum over
-    #: parallel steps of the slowest band's time (the step's critical
-    #: path), from the trace's ``meta`` measurement channel.  ``None``
-    #: when nothing was measured: sequential backends record no chunk
-    #: timings, and replayed traces carry no ``meta`` (measurements are
-    #: persisted separately, in the measurement store, at record time).
-    measured_seconds: float | None = None
 
 
 def _edge_order_for(framework: str, ordering: str) -> str:
@@ -243,23 +227,6 @@ def _execute_algorithm(graph: Graph, algorithm: str, kwargs: dict):
     sweep runs each (graph, ordering, algorithm) identity exactly once.
     """
     return ALGORITHMS[algorithm](graph, **kwargs)
-
-
-def _measured_seconds(trace) -> float | None:
-    """Measured wall-clock of an execution, from the trace's ``meta``
-    measurement channel: each parallel step costs its slowest band (the
-    bands run concurrently), steps sum.  ``None`` when the channel is
-    empty (sequential backends, replayed traces)."""
-    meta = getattr(trace, "meta", None)
-    chunks = meta.get("parallel_chunks") if isinstance(meta, dict) else None
-    if not chunks:
-        return None
-    total = 0.0
-    for chunk in chunks:
-        bands = chunk.get("bands") or []
-        if bands:
-            total += max(float(b["seconds"]) for b in bands)
-    return total
 
 
 def _flush_measurements(
@@ -407,7 +374,6 @@ def _execute_inner(
         )
     return TraceExecution(
         trace=result.trace, iterations=result.iterations, replayed=False,
-        measured_seconds=_measured_seconds(result.trace),
     )
 
 
@@ -458,7 +424,6 @@ def price(
         iterations=execution.iterations,
         ordering_seconds=prepared.ordering_seconds,
         estimate=estimate,
-        measured_seconds=execution.measured_seconds,
     )
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro import obs
@@ -284,23 +285,19 @@ _WORKER_GRAPHS: dict = {}
 _WORKER_PREPARED: dict = {}
 
 
-def _attach_worker_obs(cache_root: str | None) -> None:
-    """Point this worker's obs sink at the orchestrator's cache root.
-
-    Workers inherit ``REPRO_OBS`` through the environment, but an
-    orchestrator given an explicit cache *instance* resolves its obs
-    directory from the instance's root — which no environment variable
-    carries across the process boundary.  Setting the sink explicitly
-    (idempotent, per task, like :func:`_register_cache_machines`) makes
-    every process of one sweep log into the same ``<cache>/obs/`` tree;
-    each worker still owns its private ``events-<pid>-<writer>.jsonl``,
-    whose path it reports with each group's results
-    (:func:`_worker_run_group`) so that the orchestrator merges exactly
-    those files when the pool completes."""
-    if not obs.enabled():
-        return
-    if cache_root is not None and not os.environ.get(obs.OBS_DIR_ENV_VAR):
-        obs.set_obs_dir(os.path.join(cache_root, "obs"))
+def _sweep_obs_dir(cache_root: str | None) -> Path | None:
+    """``<cache_root>/obs``, where every process of a sweep on
+    ``cache_root`` logs, when this process's sink must be pointed there;
+    ``None`` when obs is off, the sweep runs cache-less, ``REPRO_OBS_DIR``
+    names the directory, or the sink already resolves there.  No
+    environment variable carries a cache *instance*'s root, so the
+    orchestrator (:func:`run_cells`, for the sweep) and each worker (per
+    task) point their sinks here; a worker reports its own event file
+    with its results, and the orchestrator merges exactly those files."""
+    if not obs.enabled() or cache_root is None or os.environ.get(obs.OBS_DIR_ENV_VAR):
+        return None
+    obs_dir = Path(cache_root) / "obs"
+    return None if obs_dir == obs.resolve_obs_dir() else obs_dir
 
 
 def _register_cache_machines(cache) -> None:
@@ -334,7 +331,9 @@ def _worker_run_group(
     from repro.store import ArtifactCache
 
     cache = ArtifactCache(cache_root) if cache_root is not None else False
-    _attach_worker_obs(cache_root)
+    obs_dir = _sweep_obs_dir(cache_root)
+    if obs_dir is not None:
+        obs.set_obs_dir(obs_dir)
     _register_cache_machines(cache)
     results, replayed = _compute_group(
         group, cache, _WORKER_GRAPHS, _WORKER_PREPARED, replay_only=replay_only
@@ -391,23 +390,32 @@ def run_cells(
     ``groups``, and how many groups were ``executed`` fresh vs
     ``replayed`` from the trace store.
     """
+    from repro.store import resolve_cache
+
     cells = list(cells)
+    resolved = resolve_cache(cache)
     worker_events: set = set()
-    with obs.span("sweep.run", cat="sweep", cells=len(cells), jobs=int(jobs)):
-        try:
-            return _run_cells_inner(
-                cells, jobs=jobs, store=store, resume=resume, cache=cache,
-                replay_only=replay_only, progress=progress, stats=stats,
-                worker_events=worker_events,
-            )
-        finally:
-            if obs.enabled():
-                # Fold the event files the pool workers reported into ours
-                # (the pool has exited, so none is still being written),
-                # then persist the metrics the run accumulated (cache hit
-                # counters, band-imbalance histograms, cell counts).
-                obs.merge_process_files(sorted(worker_events))
-                obs.flush_metrics()
+    obs_dir = _sweep_obs_dir(str(resolved.root) if resolved is not None else None)
+    previous_obs_dir = obs.set_obs_dir(obs_dir) if obs_dir is not None else None
+    try:
+        with obs.span("sweep.run", cat="sweep", cells=len(cells), jobs=int(jobs)):
+            try:
+                return _run_cells_inner(
+                    cells, jobs=jobs, store=store, resume=resume,
+                    resolved=resolved, replay_only=replay_only,
+                    progress=progress, stats=stats, worker_events=worker_events,
+                )
+            finally:
+                if obs.enabled():
+                    # Fold the event files the pool workers reported into
+                    # ours (the pool has exited, so none is still being
+                    # written), then persist the metrics the run accumulated
+                    # (cache hit counters, band-imbalance histograms, cells).
+                    obs.merge_process_files(sorted(worker_events))
+                    obs.flush_metrics()
+    finally:
+        if obs_dir is not None:
+            obs.set_obs_dir(previous_obs_dir)
 
 
 def _run_cells_inner(
@@ -416,14 +424,12 @@ def _run_cells_inner(
     jobs: int,
     store: "ResultsStore | str | os.PathLike | None",
     resume: bool,
-    cache,
+    resolved,
     replay_only: bool,
     progress: ProgressFn | None,
     stats: dict | None,
     worker_events: set,
 ) -> list[ExperimentResult]:
-    from repro.store import resolve_cache
-
     if isinstance(store, (str, os.PathLike)):
         store = ResultsStore(store)
 
@@ -449,7 +455,6 @@ def _run_cells_inner(
             pending.append((cell, key))
             obs.event("sweep.cell", cat="sweep", status="queued", cell=cell.label())
 
-    resolved = resolve_cache(cache)
     if replay_only and resolved is None:
         raise ResultsError(
             "replay_only needs the artifact cache (it holds the trace "

@@ -303,7 +303,7 @@ class ParallelEngine(VectorizedEngine):
         """
         self.trace.meta.setdefault("parallel_chunks", []).append(
             {
-                "step": len(self.trace.records) - 1,
+                "step": len(self.trace.steps) - 1,
                 "kind": kind,
                 "direction": direction,
                 "workers": len(bands),
@@ -328,7 +328,7 @@ class ParallelEngine(VectorizedEngine):
             obs.event(
                 "engine.step_bands",
                 cat="engine",
-                step=len(self.trace.records) - 1,
+                step=len(self.trace.steps) - 1,
                 kind=kind,
                 direction=direction,
                 bands=len(bands),

@@ -165,12 +165,10 @@ class FrameworkModel:
         once per (graph, ordering, edge order) and prices many algorithms
         with it.
 
-        Each *unique* record of the trace is priced once: the engines
-        append the same record object for every repeated step (PR's dense
-        pulls), and replayed traces re-share one object per stored record.
-        Their per-partition costs form one (R x P) matrix, the framework's
+        Each of the trace's R rows (its distinct records) is priced once:
+        their per-partition costs form one (R x P) matrix, the framework's
         scheduler returns the R makespans in one call, and every step
-        takes its record's makespan.
+        takes its row's makespan.
         """
         src_miss = min(1.0, self.miss_floor + self.miss_scale * locality[0])
         dst_miss = min(1.0, self.miss_floor + self.miss_scale * locality[1])
@@ -182,29 +180,22 @@ class FrameworkModel:
         p = trace.num_partitions
         homes = self.topology.partition_home_sockets(p)
 
-        rows: dict[int, int] = {}
-        unique = []
-        step_rows = np.empty(len(trace.records), dtype=np.int64)
-        for step, record in enumerate(trace.records):
-            row = rows.setdefault(id(record), len(unique))
-            if row == len(unique):
-                unique.append(record)
-            step_rows[step] = row
-        edgemaps = [i for i, rec in enumerate(unique) if rec.kind != "vertexmap"]
-        vertexmaps = [i for i, rec in enumerate(unique) if rec.kind == "vertexmap"]
+        rows = trace.rows
+        edgemaps = [i for i, rec in enumerate(rows) if rec.kind != "vertexmap"]
+        vertexmaps = [i for i, rec in enumerate(rows) if rec.kind == "vertexmap"]
 
-        costs = np.zeros((len(unique), p), dtype=np.float64)
-        priced = np.ones(len(unique), dtype=bool)
+        costs = np.zeros((len(rows), p), dtype=np.float64)
+        priced = np.ones(len(rows), dtype=bool)
         if edgemaps:
             costs[edgemaps] = self._edgemap_costs(
-                [unique[i] for i in edgemaps], src_miss, dst_miss, p)
+                [rows[i] for i in edgemaps], src_miss, dst_miss, p)
         if vertexmaps:
             vm_costs, priced[vertexmaps] = self._vertexmap_costs(
-                [unique[i] for i in vertexmaps])
+                [rows[i] for i in vertexmaps])
             costs[vertexmaps] = vm_costs
-        makespans = np.zeros(len(unique), dtype=np.float64)
+        makespans = np.zeros(len(rows), dtype=np.float64)
         makespans[priced] = self._makespans(costs[priced], homes)
-        per_iter = makespans[step_rows]
+        per_iter = makespans[np.array(trace.steps, dtype=np.int64)]
         return RuntimeEstimate(
             seconds=float(per_iter.sum()),
             per_iteration=per_iter,
@@ -267,16 +258,12 @@ class FrameworkModel:
             # with equal vertex counts per chunk (VEBO) this is near 1.
             # Imbalance in chunk sizes forces threads across sockets:
             # remote share grows with the deviation from the mean chunk.
-            remote = np.empty((len(records), 1), dtype=np.float64)
-            for i, row in enumerate(counts):
-                total = row.sum()
-                priced[i] = total != 0
-                if priced[i]:
-                    mean = total / row.size
-                    deviation = np.abs(row - mean).sum() / (2.0 * total)
-                    remote[i] = 0.05 + 0.9 * deviation
-                else:
-                    remote[i] = 0.0
+            total = counts.sum(axis=1)
+            priced = total != 0
+            mean = total / counts.shape[1]
+            deviation = np.abs(counts - mean[:, None]).sum(axis=1)
+            remote = np.zeros((len(records), 1), dtype=np.float64)
+            remote[priced, 0] = 0.05 + 0.9 * (deviation[priced] / (2.0 * total[priced]))
         else:
             remote = self.interleaved_remote_fraction
         return self.cost_model.vertexmap_seconds(counts, remote_fraction=remote), priced

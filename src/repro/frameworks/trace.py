@@ -11,7 +11,8 @@ exactly how the Table III sweep stays tractable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -79,9 +80,8 @@ def record_fingerprint(rec: IterationRecord) -> bytes:
     """Canonical byte string identifying a record's exact contents.
 
     Two records with the same fingerprint are interchangeable for both
-    replay and pricing; the trace bundles use this to share one stored
-    copy of repeated records (e.g. the identical dense steps of an
-    iterative algorithm).
+    replay and pricing; :func:`traces_equal` compares traces step by step
+    through it.
     """
     parts = [
         rec.kind.encode(), rec.direction.encode(),
@@ -120,7 +120,14 @@ def traces_equal(a: "WorkTrace", b: "WorkTrace") -> bool:
 
 @dataclass
 class WorkTrace:
-    """Sequence of iteration records plus identifying metadata.
+    """The work of one execution, step by step, plus identifying metadata.
+
+    A trace holds what its bundle (:mod:`repro.store.traces`) holds:
+    ``rows``, its distinct :class:`IterationRecord` objects in first-use
+    order, and ``steps``, one row index per step.  Only :meth:`append` and
+    :meth:`extend` decide which steps share a row, by record identity, as
+    the engines' record memo shares objects; saving, loading and pricing
+    read the layout as it is.  ``records`` is the per-step view.
 
     ``meta`` is the trace's *measurement side channel*: free-form,
     in-process-only annotations about how the trace was produced (e.g.
@@ -135,19 +142,38 @@ class WorkTrace:
     algorithm: str
     graph_name: str
     num_partitions: int
-    records: list[IterationRecord] = field(default_factory=list)
+    rows: list[IterationRecord] = field(default_factory=list)
+    steps: list[int] = field(default_factory=list)
     meta: dict = field(default_factory=dict, compare=False)
+    #: Per-step records to build the trace from instead, shared by identity
+    #: as :meth:`append` shares them (``dataclasses.replace`` passes them).
+    records: InitVar[Iterable[IterationRecord] | None] = None
+
+    def __post_init__(self, records: Iterable[IterationRecord] | None) -> None:
+        self._row_of = {id(record): i for i, record in enumerate(self.rows)}
+        if records is not None:
+            self.rows, self.steps, self._row_of = [], [], {}
+            self.steps.extend(self._row(record) for record in records)
+
+    def _row(self, record: IterationRecord) -> int:
+        """The row holding ``record`` itself, added if this trace has none."""
+        row = self._row_of.get(id(record))
+        if row is None:
+            row = self._row_of[id(record)] = len(self.rows)
+            self.rows.append(record)
+        return row
 
     def append(self, record: IterationRecord) -> None:
-        self.records.append(record)
+        """Append one executed step."""
+        self.steps.append(self._row(record))
         # Live instrumentation seam: every step a backend *executes* flows
-        # through here, while replayed traces are rebuilt via the
-        # WorkTrace(records=...) constructor and correctly emit nothing.
+        # through here, while replayed traces are rebuilt from their
+        # bundle's rows and steps and correctly emit nothing.
         if obs.enabled():
             obs.event(
                 "engine.step",
                 cat="engine",
-                step=len(self.records),
+                step=len(self.steps),
                 kind=record.kind,
                 direction=record.direction,
                 density=record.density.name.lower(),
@@ -155,9 +181,22 @@ class WorkTrace:
                 active_edges=int(record.active_edges),
             )
 
+    def extend(self, other: "WorkTrace") -> None:
+        """Append every step of ``other``: its rows join by identity, and
+        its ``meta["parallel_chunks"]`` entries come along with each
+        ``step`` shifted past this trace's steps.  Emits no ``engine.step``
+        event: ``other``'s steps emitted theirs when they executed."""
+        offset = len(self.steps)
+        rows = [self._row(record) for record in other.rows]
+        self.steps.extend(rows[i] for i in other.steps)
+        chunks = other.meta.get("parallel_chunks")
+        if chunks:
+            self.meta.setdefault("parallel_chunks", []).extend(
+                {**chunk, "step": chunk["step"] + offset} for chunk in chunks)
+
     @property
     def num_iterations(self) -> int:
-        return len(self.records)
+        return len(self.steps)
 
     def total_edges(self) -> int:
         return sum(r.total_edges() for r in self.records)
@@ -178,3 +217,9 @@ class WorkTrace:
         pull = sum(r.total_edges() for r in self.records if r.direction == "pull")
         push = sum(r.total_edges() for r in self.records if r.direction == "push")
         return "B" if pull >= push else "F"
+
+
+# In the class body ``records`` names the constructor's per-step input,
+# whose default the dataclass reads from there; on an instance it is this
+# view, a new list on every read (append and extend add steps).
+WorkTrace.records = property(lambda self: [self.rows[i] for i in self.steps])

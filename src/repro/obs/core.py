@@ -166,13 +166,16 @@ _SINK = _Sink()
 _EXPLICIT_DIR: Path | None = None
 
 
-def set_obs_dir(path: str | os.PathLike | None) -> None:
+def set_obs_dir(path: str | os.PathLike | None) -> Path | None:
     """Explicitly point this process's event sink at ``path`` (``None``
-    reverts to the environment-resolved default).  Sweep workers call
-    this with the orchestrator's cache root so every process of one run
-    logs into the same obs directory."""
+    reverts to the environment-resolved default), and return the
+    directory set before.  A sweep points every process of one run at its
+    cache root's obs directory, and the orchestrator puts the previous
+    one back when the sweep ends."""
     global _EXPLICIT_DIR
+    previous = _EXPLICIT_DIR
     _EXPLICIT_DIR = Path(path) if path is not None else None
+    return previous
 
 
 def resolve_obs_dir() -> Path | None:

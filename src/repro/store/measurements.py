@@ -175,8 +175,7 @@ def samples_from_trace(
     ``remote_fraction`` is 0: chunk workers are threads of one process,
     every access is NUMA-local.
     """
-    meta = getattr(trace, "meta", None)
-    chunks = meta.get("parallel_chunks") if isinstance(meta, dict) else None
+    chunks = trace.meta.get("parallel_chunks")
     if not chunks:
         return []
     bounds = np.asarray(boundaries)
@@ -184,7 +183,7 @@ def samples_from_trace(
     for chunk in chunks:
         try:
             step = int(chunk["step"])
-            rec = trace.records[step]
+            rec = trace.rows[trace.steps[step]]
             bands = chunk["bands"]
         except (KeyError, TypeError, IndexError):
             continue  # malformed entry: skip, never fail the execution

@@ -29,16 +29,16 @@ trace.
 Bundle layout
 -------------
 One bundle directory per trace (format v2, like every artifact kind of
-:mod:`repro.store.cache`): a manifest plus five members.  Repeated
-records (e.g. the identical dense steps of an iterative algorithm) are
-stored **once**: the bundle holds a table of the R unique records
-(deduplicated by :func:`~repro.frameworks.trace.record_fingerprint`,
-i.e. bitwise) plus a step -> record index.
+:mod:`repro.store.cache`): a manifest plus five members.  The bundle
+holds what the :class:`~repro.frameworks.trace.WorkTrace` holds: a table
+of its R distinct rows plus its step -> row index.  A record an engine
+repeats (e.g. the identical dense steps of an iterative algorithm, one
+memoized object) is therefore stored **once**.
 
 =================  ===================  ==================================
 member             dtype, shape         holds
 =================  ===================  ==================================
-``record_index``   int64 [S]            the unique record of each step
+``record_index``   int64 [S]            the row of each step
 ``ints``           int64 [R, 5]         kind, direction and density codes,
                                         ``active_vertices``,
                                         ``active_edges``
@@ -49,9 +49,10 @@ member             dtype, shape         holds
                                         iterations, labels
 =================  ===================  ==================================
 
-Unpacking re-shares one object per unique record, so pricing a replayed
-trace builds its cost matrix from R records, exactly as for a live
-vectorized trace.  Scalars are stored bit-exactly: the ``-1.0`` "not
+Unpacking builds one record per stored row and takes ``record_index`` as
+the trace's steps, so a replayed trace has the layout of the trace that
+was saved, and pricing builds its cost matrix from the same R rows.
+Scalars are stored bit-exactly: the ``-1.0`` "not
 measured" miss sentinels, NaNs and signed zeros all survive.  Kinds,
 directions and :class:`~repro.frameworks.frontier.DensityClass` members
 travel as stable small-int codes (:data:`KIND_CODES`,
@@ -75,7 +76,6 @@ from repro.frameworks.trace import (
     DENSITY_FROM_CODE,
     IterationRecord,
     WorkTrace,
-    record_fingerprint,
 )
 
 __all__ = [
@@ -174,11 +174,21 @@ def pack_trace(
     losslessly and raises :class:`CacheError`.
     """
     p = int(trace.num_partitions)
-    unique: list[IterationRecord] = []
-    index_of: dict[bytes, int] = {}
-    index = np.empty(len(trace.records), dtype=np.int64)
-    for i, rec in enumerate(trace.records):
-        for name in _PART_FIELDS:
+    rows = trace.rows
+    r = len(rows)
+    ints = np.empty((r, 5), dtype=np.int64)
+    miss = np.empty((r, 2), dtype=np.float64)
+    parts = np.empty((len(_PART_FIELDS), r, p), dtype=np.int64)
+    for i, rec in enumerate(rows):
+        ints[i] = (
+            _code(KIND_CODES, rec.kind, "kind", i),
+            _code(DIRECTION_CODES, rec.direction, "direction", i),
+            _code(DENSITY_CODES, rec.density, "density", i),
+            int(rec.active_vertices),
+            int(rec.active_edges),
+        )
+        miss[i] = rec.src_miss, rec.dst_miss
+        for k, name in enumerate(_PART_FIELDS):
             arr = getattr(rec, name)
             if not (
                 isinstance(arr, np.ndarray)
@@ -190,27 +200,7 @@ def pack_trace(
                     f"got {type(arr).__name__}"
                     + (f" {arr.dtype}{arr.shape}" if isinstance(arr, np.ndarray) else "")
                 )
-        fp = record_fingerprint(rec)
-        at = index_of.get(fp)
-        if at is None:
-            at = index_of[fp] = len(unique)
-            unique.append(rec)
-        index[i] = at
-    r = len(unique)
-    ints = np.empty((r, 5), dtype=np.int64)
-    miss = np.empty((r, 2), dtype=np.float64)
-    parts = np.empty((len(_PART_FIELDS), r, p), dtype=np.int64)
-    for i, rec in enumerate(unique):
-        ints[i] = (
-            _code(KIND_CODES, rec.kind, "kind", i),
-            _code(DIRECTION_CODES, rec.direction, "direction", i),
-            _code(DENSITY_CODES, rec.density, "density", i),
-            int(rec.active_vertices),
-            int(rec.active_edges),
-        )
-        miss[i] = rec.src_miss, rec.dst_miss
-        for k, name in enumerate(_PART_FIELDS):
-            parts[k, i] = getattr(rec, name)
+            parts[k, i] = arr
     # ``trace.meta`` (the measurement side channel, e.g. the parallel
     # backend's per-chunk wall-clock) is deliberately NOT serialized: a
     # replayed trace must be bit-identical to a fresh one, and wall-clock
@@ -230,12 +220,13 @@ def pack_trace(
             sort_keys=True,
         )
     )
-    return {"record_index": index, "ints": ints, "miss": miss, "parts": parts,
-            "meta_json": meta_json}
+    return {"record_index": np.array(trace.steps, dtype=np.int64), "ints": ints,
+            "miss": miss, "parts": parts, "meta_json": meta_json}
 
 
 def unpack_trace(arrays: dict) -> StoredTrace:
-    """Invert :func:`pack_trace`, re-sharing deduplicated records.
+    """Invert :func:`pack_trace`: the stored rows become the trace's
+    rows, and ``record_index`` its steps.
 
     Any malformation — a missing array, unparsable meta, a member of the
     wrong shape, an unknown kind, direction or density code, an
@@ -252,14 +243,14 @@ def unpack_trace(arrays: dict) -> StoredTrace:
         r = int(ints.shape[0])
         if (ints.shape != (r, 5) or miss.shape != (r, 2) or index.ndim != 1
                 or parts.shape != (len(_PART_FIELDS), r, p)
-                or (ints.dtype, miss.dtype, parts.dtype)
-                != (np.int64, np.float64, np.int64)):
+                or (index.dtype, ints.dtype, miss.dtype, parts.dtype)
+                != (np.int64, np.int64, np.float64, np.int64)):
             raise CacheError("trace bundle members have the wrong shape or dtype")
-        unique: list[IterationRecord] = []
+        rows: list[IterationRecord] = []
         for i, (kind, direction, density, active_vertices, active_edges) in enumerate(
             ints.tolist()
         ):
-            unique.append(
+            rows.append(
                 IterationRecord(
                     kind=_decode(_KIND_FROM_CODE, kind, "kind"),
                     direction=_decode(_DIRECTION_FROM_CODE, direction, "direction"),
@@ -273,7 +264,7 @@ def unpack_trace(arrays: dict) -> StoredTrace:
                 )
             )
         if index.size and (
-            int(index.min()) < 0 or int(index.max()) >= len(unique)
+            int(index.min()) < 0 or int(index.max()) >= len(rows)
         ):
             # Negative entries would silently alias via Python indexing;
             # reject the whole bundle instead of replaying wrong records.
@@ -282,7 +273,8 @@ def unpack_trace(arrays: dict) -> StoredTrace:
             algorithm=str(meta["algorithm"]),
             graph_name=str(meta["graph_name"]),
             num_partitions=p,
-            records=[unique[int(i)] for i in index],
+            rows=rows,
+            steps=index.tolist(),
         )
         return StoredTrace(
             trace=trace,

@@ -5,18 +5,16 @@ per-chunk timings ride the trace's ephemeral ``meta`` channel, and the
 trace store deliberately drops ``meta`` on disk — so ``execute`` must
 drain the channel into the persistent measurement store *at record
 time*, or a warm (replayed) sweep carries zero measurements and
-``machines calibrate`` starves.  Also pins that the new
-``measured_seconds`` plumbing stays out of result serialization and
-equality (byte-identity of the results store is a separate contract).
+``machines calibrate`` starves.  Also pins that a fresh and a replayed
+cell serialize identically (byte-identity of the results store is a
+separate contract).
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.experiments.runner import execute, price, run
+from repro.experiments.runner import execute, run
 from repro.frameworks.parallel import MIN_WORK_ENV_VAR, WORKERS_ENV_VAR
 from repro.machine.calibrate import CalibrationSample, fit_machine
 from repro.store import ArtifactCache, load_graph
@@ -41,7 +39,6 @@ def test_measurements_survive_trace_store_round_trip(tmp_path, parallel_env):
         traces=cache, backend="parallel", num_iterations=3,
     )
     assert cold.replayed is False
-    assert cold.measured_seconds is not None and cold.measured_seconds > 0
 
     ms = MeasurementStore.in_cache(cache)
     recorded = ms.count()
@@ -52,9 +49,6 @@ def test_measurements_survive_trace_store_round_trip(tmp_path, parallel_env):
         traces=cache, backend="parallel", num_iterations=3,
     )
     assert warm.replayed is True
-    # A replayed trace is bit-identical to a fresh one, which means no
-    # meta: measured wall-clock is unknowable for a replay.
-    assert warm.measured_seconds is None
     assert ms.count() == recorded, "replay must not append samples"
 
     # The whole point: calibration works from the *store*, not the trace.
@@ -71,16 +65,15 @@ def test_sequential_backends_record_nothing(tmp_path):
         graph, "PR", ordering="vebo", num_partitions=16,
         traces=cache, backend="vectorized", num_iterations=3,
     )
-    assert ex.measured_seconds is None
+    assert not ex.replayed
     assert MeasurementStore.in_cache(cache).count() == 0
 
 
-def test_measured_seconds_stays_out_of_serialization_and_equality(
-    tmp_path, parallel_env
-):
-    """measured_seconds is observability, not identity: it must not
-    change ``to_dict`` payloads (the results-store byte-identity pin)
-    and must be declared compare-excluded on the dataclass."""
+def test_fresh_and_replayed_results_serialize_identically(tmp_path, parallel_env):
+    """A cell's payload is the same whether its trace executed on the
+    parallel backend (and measured its bands) or replayed: measurements
+    live in the measurement store, never in ``to_dict`` (the
+    results-store byte-identity pin)."""
     cache = ArtifactCache(tmp_path / "cache")
     graph = load_graph("twitter", scale=0.3, cache=cache)
     # cache= makes both runs share one persisted ordering (identical
@@ -89,34 +82,14 @@ def test_measured_seconds_stays_out_of_serialization_and_equality(
         graph, "PR", "ligra", ordering="vebo",
         cache=cache, traces=cache, backend="parallel", num_iterations=3,
     )
+    measured = MeasurementStore.in_cache(cache).count()
+    assert measured > 0
     replayed = run(
         graph, "PR", "ligra", ordering="vebo",
         cache=cache, traces=cache, backend="parallel", num_iterations=3,
     )
-    assert fresh.measured_seconds is not None
-    assert replayed.measured_seconds is None
+    assert MeasurementStore.in_cache(cache).count() == measured
     assert fresh.to_dict() == replayed.to_dict()
-    assert "measured_seconds" not in fresh.to_dict()
-    # And the dataclass itself declares the field compare-excluded.
-    (ms_field,) = [
-        f for f in dataclasses.fields(fresh) if f.name == "measured_seconds"
-    ]
-    assert ms_field.compare is False
-
-
-def test_priced_result_carries_measured_seconds(tmp_path, parallel_env):
-    cache = ArtifactCache(tmp_path / "cache")
-    graph = load_graph("twitter", scale=0.3, cache=cache)
-    ex = execute(
-        graph, "PR", ordering="vebo", num_partitions=16,
-        traces=cache, backend="parallel", num_iterations=3,
-    )
-    from repro.experiments.runner import prepare
-
-    prep = prepare(graph, "vebo", num_partitions=16)
-    result = price(ex, graph, "ligra", prep)
-    assert result.measured_seconds == ex.measured_seconds
-    assert result.seconds > 0  # priced seconds: a different quantity
 
 
 # ----------------------------------------------------------------------

@@ -157,9 +157,11 @@ def matrix_traces(social):
         )
 
     empty_vm = record("vertexmap", zeros)
-    steps = [record("edgemap", zeros, miss=0.4), empty_vm, record("vertexmap", ramp),
-             record("edgemap", zeros, DensityClass.DENSE), empty_vm]
-    traces[("hand", "zero-vertex")] = WorkTrace("hand", "pricing", p, steps)
+    hand = WorkTrace("hand", "pricing", p)
+    for step in (record("edgemap", zeros, miss=0.4), empty_vm, record("vertexmap", ramp),
+                 record("edgemap", zeros, DensityClass.DENSE), empty_vm):
+        hand.append(step)
+    traces[("hand", "zero-vertex")] = hand
     return traces
 
 

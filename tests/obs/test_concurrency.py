@@ -8,8 +8,11 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro import obs
-from repro.experiments import ResultsStore, expand_matrix, run_cells
+from repro.experiments import ResultsStore, expand_matrix, run_cells, run_matrix
+from repro.obs import core
 from repro.obs.schema import validate_events
 from repro.store import ArtifactCache
 
@@ -126,3 +129,41 @@ class TestProcessPoolSweep:
         run_cells(cells, jobs=1, cache=ArtifactCache(tmp_path / "cache"))
         assert earlier.read_bytes() == before
         assert "earlier" not in {e["name"] for e in obs.read_events(obs.events_path())}
+
+
+class TestSweepOnACacheInstance:
+    """A sweep given a cache *instance* logs under that cache, whatever
+    the default cache root is: no environment variable carries the
+    instance's root, so the orchestrator points its own sink there for
+    the sweep (as its workers do) and then back."""
+
+    @pytest.fixture
+    def default_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(core.OBS_ENV_VAR, "1")
+        monkeypatch.delenv(core.OBS_DIR_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_OFF", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        core.reset()
+        yield tmp_path / "xdg" / "repro-vebo"
+        core.reset()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_events_land_under_the_instance_root(self, default_root, tmp_path, jobs):
+        cache = ArtifactCache(tmp_path / "inst")
+        results = run_matrix(
+            ["powerlaw"], ["PR"], ["ligra"], ["original", "vebo"],
+            params={"scale": 0.02}, algo_kwargs={"PR": {"num_iterations": 2}},
+            cache=cache, jobs=jobs,
+        )
+        assert len(results) == 2
+        (events_file,) = (tmp_path / "inst" / "obs").glob("events-*.jsonl")
+        assert not list(default_root.glob("**/events-*.jsonl"))
+        events = obs.read_events(events_file)
+        assert validate_events(events) == []
+        statuses = [e["args"]["status"] for e in events if e["name"] == "sweep.cell"]
+        assert statuses.count("executed") == 2
+        # A pool worker's lines were merged into the one file.
+        assert any(e["pid"] != os.getpid() for e in events) == (jobs > 1)
+        # The sweep over, the sink resolves the default directory again.
+        assert obs.resolve_obs_dir() == default_root / "obs"

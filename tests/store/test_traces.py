@@ -3,8 +3,9 @@
 The serialization contract (`repro.store.traces`): an arbitrary
 `WorkTrace` — hostile floats, empty record lists, sparse/dense mixes,
 unmeasured `-1.0` miss sentinels — survives pack -> npz -> unpack
-**bit-identically**, repeated records are stored once and re-shared on
-load, and the trace key covers exactly the execution inputs (graph
+**bit-identically**, the bundle stores the trace's rows and step index as
+they are (a record object several steps share is stored once and shared
+again on load), and the trace key covers exactly the execution inputs (graph
 content, ordering, partition count, algorithm + kwargs) and nothing else.
 A stored bundle that fails to unpack (an unknown code, the earlier
 13-member layout) costs one re-execution, then hits again.
@@ -58,13 +59,19 @@ def make_record(
     )
 
 
+def trace_of(records, p: int, algorithm: str = "PR", graph_name: str = "g") -> WorkTrace:
+    """A trace that executed ``records``, one step each."""
+    trace = WorkTrace(algorithm=algorithm, graph_name=graph_name, num_partitions=p)
+    for rec in records:
+        trace.append(rec)
+    return trace
+
+
 def make_trace(p: int = 4, steps: int = 3, **kwargs) -> WorkTrace:
-    return WorkTrace(
-        algorithm=kwargs.pop("algorithm", "PR"),
-        graph_name=kwargs.pop("graph_name", "g"),
-        num_partitions=p,
-        records=[make_record(p, seed=i, **kwargs) for i in range(steps)],
-    )
+    algorithm = kwargs.pop("algorithm", "PR")
+    graph_name = kwargs.pop("graph_name", "g")
+    return trace_of([make_record(p, seed=i, **kwargs) for i in range(steps)], p,
+                    algorithm=algorithm, graph_name=graph_name)
 
 
 def roundtrip(trace: WorkTrace, iterations: int = 5, tmp_path=None):
@@ -111,22 +118,36 @@ class TestRoundTrip:
 
     def test_repeated_records_stored_once_and_reshared(self, tmp_path):
         """The vectorized engine appends one shared record object per
-        dense-step template; pricing builds one cost-matrix row per
-        record object.  The bundle must preserve that: equal records
-        collapse to one stored row and come back as one shared object."""
+        dense-step template; pricing builds one cost-matrix row per trace
+        row.  The bundle must preserve that: the shared object is one
+        stored row and comes back as one shared object."""
         rec = make_record(3)
         other = make_record(3, seed=99)
-        trace = WorkTrace(
-            algorithm="PR", graph_name="g", num_partitions=3,
-            records=[rec, rec, other, rec],
-        )
+        trace = trace_of([rec, rec, other, rec], 3)
+        assert len(trace.rows) == 2 and trace.rows[0] is rec and trace.rows[1] is other
+        assert trace.steps == [0, 0, 1, 0]
         arrays = pack_trace(trace, 1)
-        assert arrays["ints"].shape[0] == 2          # unique records only
+        assert arrays["ints"].shape[0] == 2          # one row per record object
         assert list(arrays["record_index"]) == [0, 0, 1, 0]
         stored = roundtrip(trace, tmp_path=tmp_path).trace
         assert traces_equal(stored, trace)
+        assert stored.steps == [0, 0, 1, 0] and len(stored.rows) == 2
         assert stored.records[0] is stored.records[1] is stored.records[3]
         assert stored.records[2] is not stored.records[0]
+
+    def test_rows_are_shared_by_identity_not_by_content(self, tmp_path):
+        """Two equal records that are different objects stay two rows:
+        only the trace decides sharing, and it decides by identity."""
+        rec = make_record(3)
+        twin = make_record(3)
+        assert records_equal(rec, twin) and rec is not twin
+        trace = trace_of([rec, twin, rec], 3)
+        arrays = pack_trace(trace, 1)
+        assert list(arrays["record_index"]) == [0, 1, 0]
+        assert arrays["ints"].shape[0] == 2
+        stored = roundtrip(trace, tmp_path=tmp_path).trace
+        assert traces_equal(stored, trace)
+        assert stored.steps == [0, 1, 0]
 
     def test_labels_survive(self):
         stored = unpack_trace(
@@ -175,8 +196,7 @@ class TestRoundTrip:
             unpack_trace(arrays)
 
     def test_uncoded_kind_cannot_be_packed(self):
-        trace = WorkTrace(algorithm="PR", graph_name="g", num_partitions=2,
-                          records=[make_record(2, kind="gather")])
+        trace = trace_of([make_record(2, kind="gather")], 2)
         with pytest.raises(CacheError, match="no trace code"):
             pack_trace(trace, 1)
 
@@ -214,8 +234,7 @@ class TestRoundTrip:
             part_srcs=a.part_srcs, part_vertices=a.part_vertices,
         )
         assert record_fingerprint(b) != record_fingerprint(c)
-        trace = WorkTrace(algorithm="PR", graph_name="g", num_partitions=2,
-                          records=[b, c])
+        trace = trace_of([b, c], 2)
         stored = unpack_trace(pack_trace(trace, 1)).trace
         assert traces_equal(stored, trace)
         assert stored.records[0] is not stored.records[1]
@@ -261,11 +280,13 @@ def work_traces(draw):
                 dst_miss=draw(miss_floats),
             )
         )
-    return WorkTrace(
+    # Some steps repeat an earlier step's record object, as an engine's
+    # memo does.
+    steps = [records[draw(st.integers(0, i))] for i in range(len(records))]
+    return trace_of(
+        steps, p,
         algorithm=draw(st.sampled_from(["PR", "BFS", "CC", "weird algo"])),
         graph_name=draw(st.text(min_size=0, max_size=12)),
-        num_partitions=p,
-        records=records,
     )
 
 
@@ -275,6 +296,8 @@ class TestHypothesisRoundTrip:
     def test_arbitrary_traces_roundtrip_bit_identically(self, trace, iterations):
         stored = unpack_trace(pack_trace(trace, iterations))
         assert traces_equal(stored.trace, trace)
+        assert stored.trace.steps == trace.steps
+        assert len(stored.trace.rows) == len(trace.rows)
         assert stored.iterations == iterations
 
     @settings(max_examples=25, deadline=None)
@@ -354,8 +377,7 @@ class TestStoreIntegration:
                                                        monkeypatch):
         cache = ArtifactCache(tmp_path)
         rec = make_record(4, src_miss=float("nan"), dst_miss=-0.0)
-        trace = WorkTrace(algorithm="PR", graph_name="g", num_partitions=4,
-                          records=[rec, make_record(4, seed=5), rec])
+        trace = trace_of([rec, make_record(4, seed=5), rec], 4)
         key = trace_key(graph, "PR", "original", 4, {})
         save_trace(key, trace, 2, cache=cache)
         monkeypatch.setenv("REPRO_MMAP", "1")
