@@ -76,28 +76,27 @@ TABLE3_ALGO_KWARGS = {"PR": {"num_iterations": 10}, "BP": {"num_iterations": 10}
 def per_cell_sweep(graph, *, cache=None, backend=None):
     """The warm Table III matrix on ``graph`` with one execution per cell.
 
-    The baseline both speedup gates time: ``prepare`` once per (ordering,
-    partition count), shared across frameworks, then one ``run`` per cell
-    — a fresh execution that never touches the trace store.  ``cache``
-    is the ordering cache (``False`` re-runs every ordering); results
-    come back in ``expand_matrix`` order.
+    The baseline both speedup gates time: ``prepare`` once per ordering,
+    shared across frameworks, then one ``run`` per cell — a fresh
+    execution that never touches the trace store.  ``cache`` is the
+    ordering cache (``False`` re-runs every ordering); results come back
+    in ``expand_matrix`` order.
     """
     from repro.experiments import prepare, run
-    from repro.frameworks.personality import FRAMEWORKS
+    from repro.frameworks.personality import ACCOUNTING_CHUNKS
 
     prepared: dict = {}
     results = []
     for fw in TABLE3_FRAMEWORKS:
-        parts = FRAMEWORKS[fw].default_partitions
         for ordering in TABLE3_ORDERINGS:
-            if (ordering, parts) not in prepared:
-                prepared[ordering, parts] = prepare(
-                    graph, ordering, parts, cache=cache
+            if ordering not in prepared:
+                prepared[ordering] = prepare(
+                    graph, ordering, ACCOUNTING_CHUNKS, cache=cache
                 )
             for algo in TABLE3_ALGOS:
                 results.append(run(
                     graph, algo, fw, ordering=ordering,
-                    prepared=prepared[ordering, parts], backend=backend,
+                    prepared=prepared[ordering], backend=backend,
                     **TABLE3_ALGO_KWARGS.get(algo, {}),
                 ))
     return results

@@ -6,8 +6,9 @@ partitioning -> graph processing, then pricing under a framework
 personality.  The runner also applies the per-framework configuration rules
 of Sections IV and V-G:
 
-* partition counts: Ligra 384 (implicit Cilk range chunks), Polymer 4
-  (one per socket), GraphGrind 384;
+* one partition count: every personality accounts work at
+  ``ACCOUNTING_CHUNKS`` (384) destination chunks and maps them to threads
+  by its own scheduler, so one trace prices under all of them;
 * GraphGrind's dense COO edge order: Hilbert for Original/RCM/Gorder,
   CSR order for VEBO (the Section V-G finding);
 * VEBO configurations partition at VEBO's own boundaries; all other
@@ -27,9 +28,10 @@ from repro import obs
 from repro.algorithms import ALGORITHMS
 from repro.errors import ResultsError
 from repro.frameworks.personality import (
-    FRAMEWORKS,
+    ACCOUNTING_CHUNKS,
     FrameworkModel,
     RuntimeEstimate,
+    resolve_framework,
 )
 from repro.graph.coo import COOEdges
 from repro.graph.csr import Graph
@@ -249,7 +251,7 @@ def execute(
     algorithm: str,
     ordering: str = "original",
     prepared: PreparedGraph | None = None,
-    num_partitions: int | None = None,
+    num_partitions: int = ACCOUNTING_CHUNKS,
     cache: object = False,
     traces: object = False,
     refresh: bool = False,
@@ -274,10 +276,6 @@ def execute(
     of an execution — the contract behind ``sweep reprice``, which
     promises to price a matrix without running a single algorithm.
     """
-    if num_partitions is None:
-        from repro.frameworks.personality import ACCOUNTING_CHUNKS
-
-        num_partitions = ACCOUNTING_CHUNKS
     ordering_name = prepared.ordering if prepared is not None else ordering
     # Thread-local context: every event emitted below this frame — cache
     # gets, engine steps, band timings — carries the cell's identity.
@@ -382,38 +380,35 @@ def price(
     graph: Graph,
     framework: str | FrameworkModel,
     prepared: PreparedGraph,
-    locality: tuple[float, float] | None = None,
     machine: str | MachineModel | None = None,
 ) -> ExperimentResult:
     """Price one execution under one framework personality on one machine.
 
-    Pricing is a pure function of (trace, layout, locality, machine), so
-    any number of (framework, machine) pairs can price the same
+    Pricing is a pure function of (trace, layout, machine), so any number
+    of (framework, machine) pairs can price the same
     :class:`TraceExecution` — fresh or replayed — and produce exactly what
-    a dedicated end-to-end :func:`run` would have.  ``machine`` is a
-    registry name or :class:`~repro.machine.models.MachineModel`; ``None``
-    is the paper machine, which prices byte-identically to the
-    pre-machine-layer code path.
+    a dedicated end-to-end :func:`run` would have.  ``framework`` is a
+    :data:`~repro.frameworks.personality.FRAMEWORKS` name or a
+    :class:`~repro.frameworks.personality.FrameworkModel`; ``machine`` is
+    a registry name or :class:`~repro.machine.models.MachineModel`, and
+    ``None`` is the paper machine.  The layout's locality under the
+    framework's edge order is measured once per prepared graph.
     """
-    fw = FRAMEWORKS[framework] if isinstance(framework, str) else framework
+    fw = resolve_framework(framework)
     machine_model = resolve_machine(machine)
-    g = prepared.graph
-    if locality is None:
-        edge_order = _edge_order_for(fw.name, prepared.ordering)
-        key = edge_order
-        if key not in prepared.locality:
-            import hashlib
+    edge_order = _edge_order_for(fw.name, prepared.ordering)
+    if edge_order not in prepared.locality:
+        import hashlib
 
-            memo = _LOCALITY_MEMO.setdefault(graph, {})
-            perm_digest = hashlib.sha256(prepared.perm.tobytes()).digest()
-            mkey = (prepared.ordering, edge_order, perm_digest)
-            pair = memo.get(mkey)
-            if pair is None:
-                pair = _measure_locality(g, edge_order)
-                memo[mkey] = pair
-            prepared.locality[key] = pair
-        locality = prepared.locality[key]
-    estimate = fw.on_machine(machine_model).price(execution.trace, locality=locality)
+        memo = _LOCALITY_MEMO.setdefault(graph, {})
+        perm_digest = hashlib.sha256(prepared.perm.tobytes()).digest()
+        mkey = (prepared.ordering, edge_order, perm_digest)
+        pair = memo.get(mkey)
+        if pair is None:
+            pair = _measure_locality(prepared.graph, edge_order)
+            memo[mkey] = pair
+        prepared.locality[edge_order] = pair
+    estimate = fw.price(execution.trace, prepared.locality[edge_order], machine_model)
     return ExperimentResult(
         graph=graph.name,
         algorithm=execution.trace.algorithm,
@@ -433,7 +428,6 @@ def run(
     framework: str | FrameworkModel,
     ordering: str = "original",
     prepared: PreparedGraph | None = None,
-    locality: tuple[float, float] | None = None,
     cache: object = False,
     traces: object = False,
     backend: str | None = None,
@@ -455,13 +449,12 @@ def run(
     personality (:mod:`repro.machine.models`) — unlike the backend it
     *does* tag the result, because it changes what the numbers mean.
     """
-    fw = FRAMEWORKS[framework] if isinstance(framework, str) else framework
-    p = fw.default_partitions
+    fw = resolve_framework(framework)
     if prepared is None:
-        prepared = prepare(graph, ordering, num_partitions=p, cache=cache)
+        prepared = prepare(graph, ordering, ACCOUNTING_CHUNKS, cache=cache)
     execution = execute(
-        graph, algorithm, prepared=prepared, num_partitions=p,
-        traces=traces, backend=backend, **algo_kwargs,
+        graph, algorithm, prepared=prepared, traces=traces, backend=backend,
+        **algo_kwargs,
     )
-    return price(execution, graph, fw, prepared, locality=locality, machine=machine)
+    return price(execution, graph, fw, prepared, machine=machine)
 

@@ -53,6 +53,7 @@ from repro.experiments.runner import (
     prepare,
     price,
 )
+from repro.frameworks.personality import ACCOUNTING_CHUNKS
 from repro.machine.models import DEFAULT_MACHINE
 
 __all__ = [
@@ -83,8 +84,8 @@ class SweepCell:
     #: Engine backend the cell executes on (None = REPRO_BACKEND / default).
     #: Deliberately NOT part of the cell key: backends are conformance-
     #: tested bit-identical, so a cell's result does not depend on which
-    #: engine computed it — a sweep resumed under ``vectorized`` happily
-    #: reuses cells persisted under ``reference`` and vice versa.
+    #: engine computed it — a sweep resumed under ``parallel`` reuses
+    #: cells persisted under ``vectorized`` and vice versa.
     backend: str | None = None
     #: Machine personality the cell is priced on (:mod:`repro.machine
     #: .models`).  Part of the cell *key* — two machines are two results —
@@ -111,14 +112,13 @@ class SweepCell:
         """Everything that determines what the algorithm *does* — the
         grouping key of trace-aware scheduling.  Two cells with the same
         identity share one execution (and one stored trace); they may
-        differ only in how the work is priced.  The framework enters only
-        through its accounting partition count (shared by every built-in
-        personality); the machine is a pure pricing dimension and is
-        excluded, so one execution fans out across the whole (framework x
-        machine) matrix; the backend is excluded outright (bit-identical
-        by conformance).  Uses the artifact cache's canonical hash scheme,
+        differ only in how the work is priced.  Every personality
+        accounts at :data:`~repro.frameworks.personality.ACCOUNTING_CHUNKS`
+        and the machine is a pure pricing dimension, so both are excluded
+        and one execution fans out across the whole (framework x machine)
+        matrix; the backend is excluded outright (bit-identical by
+        conformance).  Uses the artifact cache's canonical hash scheme,
         like :meth:`key` minus the framework and machine."""
-        from repro.frameworks.personality import FRAMEWORKS
         from repro.store.cache import artifact_key
 
         return artifact_key(
@@ -129,7 +129,7 @@ class SweepCell:
                 "ordering": self.ordering,
                 "algorithm": self.algorithm,
                 "algo_kwargs": dict(self.algo_kwargs),
-                "num_partitions": FRAMEWORKS[self.framework].default_partitions,
+                "num_partitions": ACCOUNTING_CHUNKS,
             },
         )
 
@@ -222,7 +222,6 @@ def _load_group_context(cell: SweepCell, cache, graphs: dict, prepared: dict):
     sorted by dataset precisely so switches are rare, and the artifact
     cache keeps any re-load warm)."""
     from repro import store
-    from repro.frameworks.personality import FRAMEWORKS
 
     gkey = (cell.dataset, tuple(sorted(cell.params.items())))
     for memo in (graphs, prepared):
@@ -232,12 +231,9 @@ def _load_group_context(cell: SweepCell, cache, graphs: dict, prepared: dict):
         graphs[gkey] = store.load_graph(cell.dataset, cache=cache, **cell.params)
     graph = graphs[gkey]
 
-    fw = FRAMEWORKS[cell.framework]
-    pkey = (*gkey, cell.ordering, fw.default_partitions)
+    pkey = (*gkey, cell.ordering)
     if pkey not in prepared:
-        prepared[pkey] = prepare(
-            graph, cell.ordering, fw.default_partitions, cache=cache
-        )
+        prepared[pkey] = prepare(graph, cell.ordering, ACCOUNTING_CHUNKS, cache=cache)
     return graph, prepared[pkey]
 
 
@@ -257,23 +253,19 @@ def _compute_group(
     framework) but persist nothing.  ``replay_only`` forwards the
     ``sweep reprice`` contract: a trace-store miss raises instead of
     executing."""
-    from repro.frameworks.personality import FRAMEWORKS
-
     first = group[0]
     graph, prep = _load_group_context(first, cache, graphs, prepared)
     execution = execute(
         graph,
         first.algorithm,
         prepared=prep,
-        num_partitions=FRAMEWORKS[first.framework].default_partitions,
         traces=cache,
         backend=first.backend,
         replay_only=replay_only,
         **first.algo_kwargs,
     )
     results = [
-        price(execution, graph, FRAMEWORKS[cell.framework], prep,
-              machine=cell.machine)
+        price(execution, graph, cell.framework, prep, machine=cell.machine)
         for cell in group
     ]
     return results, execution.replayed

@@ -1,10 +1,13 @@
 """Framework personalities: Ligra, Polymer and GraphGrind as pricing models.
 
 Section IV reduces the three C++ systems to a handful of design axes —
-scheduling policy, partition count, NUMA awareness and locality
-optimization.  A :class:`FrameworkModel` encodes those axes and converts an
-algorithm's :class:`~repro.frameworks.trace.WorkTrace` into seconds using
-the machine model:
+scheduling policy, NUMA awareness and locality optimization.  A
+:class:`FrameworkModel` encodes those axes and converts an algorithm's
+:class:`~repro.frameworks.trace.WorkTrace` into seconds on a
+:class:`~repro.machine.models.MachineModel`, which supplies the topology
+and the cost model.  Every personality accounts work at the same
+:data:`ACCOUNTING_CHUNKS` granularity, so the partition count is not an
+axis:
 
 * per-iteration, per-partition costs come from the
   :class:`~repro.machine.cost.CostModel` applied to the recorded work
@@ -24,19 +27,18 @@ and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.frameworks.trace import WorkTrace
-from repro.machine.cost import CostModel, DEFAULT_COST_MODEL, PartitionWork
-from repro.machine.numa import NUMATopology, PAPER_MACHINE
+from repro.machine.cost import CostModel, PartitionWork
+from repro.machine.models import MachineModel, resolve_machine
+from repro.machine.numa import NUMATopology
 from repro.machine.schedule import (
     cilk_recursive_schedule,
-    greedy_dynamic_schedule,
     hierarchical_numa_schedule,
-    static_block_schedule,
     static_numa_schedule,
 )
 
@@ -48,7 +50,25 @@ __all__ = [
     "POLYMER",
     "GRAPHGRIND",
     "FRAMEWORKS",
+    "resolve_framework",
 ]
+
+#: Remote share of a non-NUMA-aware system's accesses: its unpartitioned
+#: arrays are interleaved across the sockets.
+INTERLEAVED_REMOTE_FRACTION = 0.75
+
+#: Seconds Cilk charges per stolen leaf beyond the first.
+STEAL_OVERHEAD = 2.0e-7
+
+# Measured miss fractions are blended toward a floor before pricing:
+# eff = MISS_FLOOR + MISS_SCALE * measured.  The paper's graphs exceed
+# the LLC by two orders of magnitude, so *every* layout misses heavily
+# and layout differences move the miss rate by tens of percent, not
+# 10x; the blend reproduces that compression at laptop scale, keeping
+# load balance (not locality) the first-order effect for statically
+# scheduled systems — the paper's central claim.
+MISS_FLOOR = 0.35
+MISS_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -106,79 +126,52 @@ class RuntimeEstimate:
 
 @dataclass(frozen=True)
 class FrameworkModel:
-    """One framework's pricing configuration."""
+    """One framework's design axes, as Section IV tells the systems apart."""
 
     name: str
-    scheduler: str           # "cilk" | "static" | "static-hier" | "numa-hier" | "dynamic"
-    default_partitions: int  # accounting-chunk count fed to the trace
-    numa_aware: bool                  # partition data homed on sockets?
-    locality_optimized: bool          # system exploits COO/Hilbert locality
-    topology: NUMATopology = PAPER_MACHINE
-    cost_model: CostModel = DEFAULT_COST_MODEL
-    interleaved_remote_fraction: float = 0.75  # non-NUMA-aware remote share
-    steal_overhead: float = 2.0e-7
-    # Measured miss fractions are blended toward a floor before pricing:
-    # eff = miss_floor + miss_scale * measured.  The paper's graphs exceed
-    # the LLC by two orders of magnitude, so *every* layout misses heavily
-    # and layout differences move the miss rate by tens of percent, not
-    # 10x; the blend reproduces that compression at laptop scale, keeping
-    # load balance (not locality) the first-order effect for statically
-    # scheduled systems — the paper's central claim.
-    miss_floor: float = 0.35
-    miss_scale: float = 0.5
+    scheduler: str                # "cilk" | "static-hier" | "numa-hier"
+    numa_aware: bool              # partition data homed on sockets?
+    locality_optimized: bool      # system exploits COO/Hilbert locality
 
     def __post_init__(self) -> None:
-        if self.scheduler not in ("cilk", "static", "static-hier", "numa-hier", "dynamic"):
+        if self.scheduler not in ("cilk", "static-hier", "numa-hier"):
             raise SimulationError(f"unknown scheduler {self.scheduler!r}")
 
     # ------------------------------------------------------------------
-    def on_machine(self, machine) -> "FrameworkModel":
-        """This personality configured for a :class:`~repro.machine.models.
-        MachineModel`: the machine supplies the topology and the
-        machine-owned cost knobs (miss penalty, remote factor, core-speed
-        scale on this personality's own per-op coefficients); every
-        framework design axis (scheduler, NUMA awareness, locality
-        optimization) is untouched.
-
-        The **default** machine is a strict no-op — ``self`` comes back
-        untouched, whatever this personality's cost model is — so pricing
-        with ``machine=None`` / ``paper-xeon`` is byte-identical to the
-        pre-machine-layer path even for custom personalities that carry
-        tuned coefficients.
-        """
-        from repro.machine.models import DEFAULT_MACHINE, MACHINES
-
-        if machine == MACHINES[DEFAULT_MACHINE]:
-            return self
-        topology = machine.topology
-        cost_model = machine.derive_cost_model(self.cost_model)
-        if topology == self.topology and cost_model == self.cost_model:
-            return self
-        return replace(self, topology=topology, cost_model=cost_model)
-
-    # ------------------------------------------------------------------
-    def price(self, trace: WorkTrace, locality: tuple[float, float]) -> RuntimeEstimate:
-        """Convert a work trace into seconds.
+    def price(
+        self,
+        trace: WorkTrace,
+        locality: tuple[float, float],
+        machine: str | MachineModel | None = None,
+    ) -> RuntimeEstimate:
+        """Convert a work trace into seconds on ``machine``.
 
         ``locality`` is the (src, dst) miss-fraction pair of the layout
         under the traversal this framework runs — the runner measures it
         once per (graph, ordering, edge order) and prices many algorithms
-        with it.
+        with it.  ``machine`` is a registry name, a
+        :class:`~repro.machine.models.MachineModel` or ``None`` (the
+        paper machine); it supplies the topology the scheduler fills and
+        the cost model (:meth:`~repro.machine.models.MachineModel.
+        derive_cost_model`).
 
         Each of the trace's R rows (its distinct records) is priced once:
         their per-partition costs form one (R x P) matrix, the framework's
         scheduler returns the R makespans in one call, and every step
         takes its row's makespan.
         """
-        src_miss = min(1.0, self.miss_floor + self.miss_scale * locality[0])
-        dst_miss = min(1.0, self.miss_floor + self.miss_scale * locality[1])
+        machine = resolve_machine(machine)
+        topology = machine.topology
+        cost_model = machine.derive_cost_model()
+        src_miss = min(1.0, MISS_FLOOR + MISS_SCALE * locality[0])
+        dst_miss = min(1.0, MISS_FLOOR + MISS_SCALE * locality[1])
         if not self.locality_optimized:
             # Ligra's COO/edge traversal does not reorder edges for reuse;
             # model as a higher effective miss fraction on the same layout.
             src_miss = min(1.0, src_miss * 1.25 + 0.05)
             dst_miss = min(1.0, dst_miss * 1.25 + 0.05)
         p = trace.num_partitions
-        homes = self.topology.partition_home_sockets(p)
+        homes = topology.partition_home_sockets(p)
 
         rows = trace.rows
         edgemaps = [i for i, rec in enumerate(rows) if rec.kind != "vertexmap"]
@@ -188,13 +181,13 @@ class FrameworkModel:
         priced = np.ones(len(rows), dtype=bool)
         if edgemaps:
             costs[edgemaps] = self._edgemap_costs(
-                [rows[i] for i in edgemaps], src_miss, dst_miss, p)
+                [rows[i] for i in edgemaps], src_miss, dst_miss, p, cost_model)
         if vertexmaps:
             vm_costs, priced[vertexmaps] = self._vertexmap_costs(
-                [rows[i] for i in vertexmaps])
+                [rows[i] for i in vertexmaps], cost_model)
             costs[vertexmaps] = vm_costs
         makespans = np.zeros(len(rows), dtype=np.float64)
-        makespans[priced] = self._makespans(costs[priced], homes)
+        makespans[priced] = self._makespans(costs[priced], homes, topology)
         per_iter = makespans[np.array(trace.steps, dtype=np.int64)]
         return RuntimeEstimate(
             seconds=float(per_iter.sum()),
@@ -208,7 +201,8 @@ class FrameworkModel:
 
     # ------------------------------------------------------------------
     def _edgemap_costs(
-        self, records: list, src_miss: float, dst_miss: float, num_partitions: int
+        self, records: list, src_miss: float, dst_miss: float, num_partitions: int,
+        cost_model: CostModel,
     ) -> np.ndarray:
         """(R x P) seconds of edgemap records: each row prices one record's
         per-partition counters at that record's miss fractions."""
@@ -223,8 +217,8 @@ class FrameworkModel:
             if rec.src_miss >= 0.0 and not (
                 self.locality_optimized and rec.density.value == "dense"
             ):
-                miss[i] = (min(1.0, self.miss_floor + self.miss_scale * rec.src_miss),
-                           min(1.0, self.miss_floor + self.miss_scale * rec.dst_miss))
+                miss[i] = (min(1.0, MISS_FLOOR + MISS_SCALE * rec.src_miss),
+                           min(1.0, MISS_FLOOR + MISS_SCALE * rec.dst_miss))
         edges = np.array([rec.part_edges for rec in records], dtype=np.float64)
         work = PartitionWork(
             edges=edges,
@@ -238,11 +232,13 @@ class FrameworkModel:
         # only via sources living in other partitions; charge a small
         # constant.  Interleaved arrays: a fixed remote share.
         remote = np.full(
-            num_partitions, 0.15 if self.numa_aware else self.interleaved_remote_fraction
+            num_partitions, 0.15 if self.numa_aware else INTERLEAVED_REMOTE_FRACTION
         )
-        return self.cost_model.partition_seconds(work, remote_fraction=remote)
+        return cost_model.partition_seconds(work, remote_fraction=remote)
 
-    def _vertexmap_costs(self, records: list) -> tuple[np.ndarray, np.ndarray]:
+    def _vertexmap_costs(
+        self, records: list, cost_model: CostModel
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(R x P) seconds of vertexmap records, and which rows to schedule.
 
         Vertexmap iterations are spread over all threads regardless of
@@ -265,29 +261,26 @@ class FrameworkModel:
             remote = np.zeros((len(records), 1), dtype=np.float64)
             remote[priced, 0] = 0.05 + 0.9 * (deviation[priced] / (2.0 * total[priced]))
         else:
-            remote = self.interleaved_remote_fraction
-        return self.cost_model.vertexmap_seconds(counts, remote_fraction=remote), priced
+            remote = INTERLEAVED_REMOTE_FRACTION
+        return cost_model.vertexmap_seconds(counts, remote_fraction=remote), priced
 
-    def _makespans(self, costs: np.ndarray, homes: np.ndarray) -> np.ndarray:
+    def _makespans(
+        self, costs: np.ndarray, homes: np.ndarray, topology: NUMATopology
+    ) -> np.ndarray:
         """The makespan of each row of ``costs`` under this framework's
-        scheduler.  The schedulers are looked up as this module's globals
-        on every call: ``perfbench/layers.py`` times each framework's
-        scheduler by wrapping it here."""
-        topo = self.topology
-        if self.scheduler == "static":
-            return static_block_schedule(costs, topo.num_threads)
-        if self.scheduler == "dynamic":
-            return greedy_dynamic_schedule(costs, topo.num_threads)
+        scheduler on ``topology``.  The schedulers are looked up as this
+        module's globals on every call: ``perfbench/layers.py`` times each
+        framework's scheduler by wrapping it here."""
         if self.scheduler == "cilk":
             return cilk_recursive_schedule(
-                costs, topo.num_threads, steal_overhead=self.steal_overhead
+                costs, topology.num_threads, steal_overhead=STEAL_OVERHEAD
             )
         if self.scheduler == "static-hier":
             return static_numa_schedule(
-                costs, homes, topo.num_sockets, topo.threads_per_socket
+                costs, homes, topology.num_sockets, topology.threads_per_socket
             )
         return hierarchical_numa_schedule(
-            costs, homes, topo.num_sockets, topo.threads_per_socket
+            costs, homes, topology.num_sockets, topology.threads_per_socket
         )
 
 
@@ -303,7 +296,6 @@ ACCOUNTING_CHUNKS = 384
 LIGRA = FrameworkModel(
     name="ligra",
     scheduler="cilk",
-    default_partitions=ACCOUNTING_CHUNKS,
     numa_aware=False,
     locality_optimized=False,
 )
@@ -313,7 +305,6 @@ LIGRA = FrameworkModel(
 POLYMER = FrameworkModel(
     name="polymer",
     scheduler="static-hier",
-    default_partitions=ACCOUNTING_CHUNKS,
     numa_aware=True,
     locality_optimized=True,
 )
@@ -323,9 +314,20 @@ POLYMER = FrameworkModel(
 GRAPHGRIND = FrameworkModel(
     name="graphgrind",
     scheduler="numa-hier",
-    default_partitions=ACCOUNTING_CHUNKS,
     numa_aware=True,
     locality_optimized=True,
 )
 
 FRAMEWORKS = {"ligra": LIGRA, "polymer": POLYMER, "graphgrind": GRAPHGRIND}
+
+
+def resolve_framework(framework: str | FrameworkModel) -> FrameworkModel:
+    """Accept a :data:`FRAMEWORKS` name or a model instance."""
+    if isinstance(framework, FrameworkModel):
+        return framework
+    try:
+        return FRAMEWORKS[framework]
+    except KeyError:
+        raise SimulationError(
+            f"unknown framework {framework!r}; registered: {sorted(FRAMEWORKS)}"
+        ) from None

@@ -263,7 +263,13 @@ class _SharedLayout:
 
 
 #: graph -> {boundaries bytes -> _SharedLayout}; weak, so each layout dies
-#: with its graph.
+#: with its graph.  Keyed by graph equality, not identity: on a symmetric
+#: graph the ``graph.reverse()`` that CC's and BC's reverse engine runs on
+#: equals the graph, so it finds the forward layout and shares its record
+#: memo, and repeated steps share one trace row.  Identity keys would
+#: double those rows (``orkut`` at scale 0.2, VEBO, P = 384: CC 4 -> 8,
+#: BC 6 -> 11) and grow every stored CC and BC bundle; the cost of
+#: equality is an array comparison against each live key of equal (n, m).
 _LAYOUTS: "WeakKeyDictionary[Graph, dict[bytes, _SharedLayout]]" = WeakKeyDictionary()
 
 #: Guards every read-modify-write of ``_LAYOUTS``.  Engines are built

@@ -174,11 +174,11 @@ def fit_machine(
     """Fit (time_scale, miss_penalty, remote_factor) to ``samples``.
 
     ``samples`` are :class:`CalibrationSample`\\ s; ``base`` supplies the
-    fixed per-operation coefficients (a framework's, or the defaults) and
-    the fallback knobs for directions the data cannot identify.  The
-    topology of the returned :class:`MachineModel` is *not* fitted — it
-    is a declaration about the measured machine; defaults to the paper
-    machine's.
+    fixed per-operation coefficients (the defaults, which pricing derives
+    every machine from) and the fallback knobs for directions the data
+    cannot identify.  The topology of the returned :class:`MachineModel`
+    is *not* fitted — it is a declaration about the measured machine;
+    defaults to the paper machine's.
 
     Raises :class:`CalibrationError` on an empty or degenerate sample set
     (no modelled work, non-finite measurements, non-positive fitted time

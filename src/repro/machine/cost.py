@@ -119,9 +119,8 @@ class CostModel:
         return self.t_vertex * v * numa_scale
 
     def scaled(self, factor: float) -> "CostModel":
-        """Uniformly scale all time coefficients (framework personality
-        knob — e.g. Ligra's lack of locality optimization is a global
-        slowdown on top of the miss terms)."""
+        """Uniformly scale all time coefficients (a machine's core speed:
+        :attr:`~repro.machine.models.MachineModel.time_scale`)."""
         if factor <= 0:
             raise SimulationError("scale factor must be positive")
         return replace(
@@ -133,5 +132,5 @@ class CostModel:
         )
 
 
-#: Baseline coefficients shared by all framework personalities.
+#: Baseline coefficients every machine derives its cost model from.
 DEFAULT_COST_MODEL = CostModel()

@@ -112,15 +112,13 @@ class MachineModel:
         return self.num_sockets * self.threads_per_socket
 
     def derive_cost_model(self, base: CostModel = DEFAULT_COST_MODEL) -> CostModel:
-        """Configure ``base`` (a framework's coefficient set) for this
-        machine.  ``miss_penalty`` and ``remote_factor`` are machine
-        properties and *replace* the base's; the per-op coefficients are
-        the framework's own, scaled by ``time_scale`` (1.0 skips the
-        multiply entirely, keeping the floats bitwise).  Note
-        :meth:`~repro.frameworks.personality.FrameworkModel.on_machine`
-        treats the registered default machine as a strict no-op and never
-        calls this, so custom personalities keep tuned knobs under
-        default-machine pricing.
+        """The cost model this machine prices with: ``base``'s per-op
+        coefficients scaled by ``time_scale`` (1.0 skips the multiply
+        entirely, keeping the floats bitwise), with this machine's
+        ``miss_penalty`` and ``remote_factor`` in place of the base's.
+        Pricing derives from the default ``base``
+        (:meth:`~repro.frameworks.personality.FrameworkModel.price`); the
+        calibration fit passes the coefficient set it holds fixed.
         """
         model = replace(
             base, miss_penalty=self.miss_penalty, remote_factor=self.remote_factor

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ResultsError
-from repro.experiments import execute, prepare, run
+from repro.errors import ResultsError, SimulationError
+from repro.experiments import execute, prepare, price, run
 from repro.graph import generators as gen
 from repro.graph.io import write_adjacency_graph, read_adjacency_graph
 from repro.ordering import get_ordering
@@ -104,6 +104,24 @@ class TestRun:
         a = run(g, "SPMV", "polymer", ordering="vebo")
         b = run(g, "SPMV", "polymer", ordering="vebo")
         assert a.seconds == b.seconds
+
+    @pytest.mark.parametrize("entry", ["run", "price"])
+    def test_unknown_framework_names_the_registry(self, g, entry):
+        """Both entry points reject an unknown framework name the way an
+        unknown machine is rejected: a SimulationError listing the
+        registered personalities (not a bare KeyError)."""
+        prep = prepare(g, "original", 384)
+        if entry == "run":
+            def call():
+                return run(g, "PR", "ligr", prepared=prep, num_iterations=1)
+        else:
+            execution = execute(g, "PR", prepared=prep, num_iterations=1)
+
+            def call():
+                return price(execution, g, "ligr", prep)
+        match = r"unknown framework 'ligr'; registered: \['graphgrind', 'ligra', 'polymer'\]"
+        with pytest.raises(SimulationError, match=match):
+            call()
 
     def test_all_algorithms_run(self, g):
         from repro.algorithms import ALGORITHMS

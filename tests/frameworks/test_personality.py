@@ -1,5 +1,8 @@
 """Unit tests for the framework personalities (pricing layer)."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,10 @@ from repro.frameworks.personality import (
     GRAPHGRIND,
     LIGRA,
     POLYMER,
+    resolve_framework,
 )
 from repro.graph import generators as gen
-from repro.machine.models import get_machine
+from repro.machine.models import MachineModel
 
 from oracles import price_per_record
 
@@ -50,12 +54,26 @@ class TestPersonalityConfig:
         assert LIGRA.scheduler == "cilk" and not LIGRA.numa_aware
         assert POLYMER.scheduler == "static-hier"
         assert GRAPHGRIND.scheduler == "numa-hier"
-        assert GRAPHGRIND.default_partitions == ACCOUNTING_CHUNKS == 384
+        assert ACCOUNTING_CHUNKS == 384
 
-    def test_invalid_scheduler_rejected(self):
+    def test_a_personality_is_its_design_axes(self):
+        assert [f.name for f in fields(FrameworkModel)] == [
+            "name", "scheduler", "numa_aware", "locality_optimized"]
+
+    def test_resolve_accepts_name_and_instance(self):
+        assert resolve_framework("ligra") is LIGRA
+        custom = FrameworkModel(
+            name="c", scheduler="cilk", numa_aware=True, locality_optimized=True,
+        )
+        assert resolve_framework(custom) is custom
+        with pytest.raises(SimulationError, match="unknown framework 'ligr'"):
+            resolve_framework("ligr")
+
+    @pytest.mark.parametrize("scheduler", ["quantum", "static", "dynamic"])
+    def test_invalid_scheduler_rejected(self, scheduler):
         with pytest.raises(SimulationError):
             FrameworkModel(
-                name="x", scheduler="quantum", default_partitions=4,
+                name="x", scheduler=scheduler,
                 numa_aware=False, locality_optimized=False,
             )
 
@@ -80,12 +98,10 @@ class TestPricing:
     def test_non_numa_system_pays_remote(self, pr_trace):
         # identical trace priced with and without NUMA awareness
         aware = FrameworkModel(
-            name="a", scheduler="cilk", default_partitions=48,
-            numa_aware=True, locality_optimized=True,
+            name="a", scheduler="cilk", numa_aware=True, locality_optimized=True,
         )
         unaware = FrameworkModel(
-            name="u", scheduler="cilk", default_partitions=48,
-            numa_aware=False, locality_optimized=True,
+            name="u", scheduler="cilk", numa_aware=False, locality_optimized=True,
         )
         assert (
             unaware.price(pr_trace, locality=(0.3, 0.1)).seconds
@@ -97,12 +113,10 @@ class TestPricing:
         statically scheduled system more than a dynamically scheduled one."""
         trace = pagerank(social, num_iterations=2, num_partitions=384).trace
         static = FrameworkModel(
-            name="s", scheduler="static-hier", default_partitions=384,
-            numa_aware=True, locality_optimized=True,
+            name="s", scheduler="static-hier", numa_aware=True, locality_optimized=True,
         )
         dynamic = FrameworkModel(
-            name="d", scheduler="numa-hier", default_partitions=384,
-            numa_aware=True, locality_optimized=True,
+            name="d", scheduler="numa-hier", numa_aware=True, locality_optimized=True,
         )
         loc = (0.2, 0.05)
         assert (
@@ -165,32 +179,50 @@ def matrix_traces(social):
     return traces
 
 
-#: The flat schedulers no built-in personality uses.
-FLAT = {
-    name: FrameworkModel(name=name, scheduler=name, default_partitions=384,
-                         numa_aware=aware, locality_optimized=aware)
-    for name, aware in (("static", True), ("dynamic", False))
-}
-
-
 @pytest.mark.parametrize("machine", ["paper-xeon", "big-numa", "laptop"])
-@pytest.mark.parametrize("framework", ["ligra", "polymer", "graphgrind", "static", "dynamic"])
+@pytest.mark.parametrize("framework", ["ligra", "polymer", "graphgrind"])
 def test_price_equals_per_record_oracle(matrix_traces, locality, framework, machine):
     """One cost matrix and one scheduler call per trace price every step
     exactly as one PartitionWork and one heap schedule per record did."""
-    model = {**FRAMEWORKS, **FLAT}[framework].on_machine(get_machine(machine))
+    model = FRAMEWORKS[framework]
     for label, trace in matrix_traces.items():
-        est = model.price(trace, locality=locality)
-        want = price_per_record(model, trace, locality)
+        est = model.price(trace, locality, machine)
+        want = price_per_record(model, trace, locality, machine)
         assert np.array_equal(est.per_iteration, want), label
         assert est.seconds == float(want.sum()), label
+
+
+def test_default_machine_by_none_name_or_copy_prices_alike(matrix_traces, locality):
+    """No machine, the paper machine's name and an unnamed model with the
+    paper machine's knobs price every trace to the same bytes."""
+    copy = MachineModel(name="copy")
+    for model in FRAMEWORKS.values():
+        for label, trace in matrix_traces.items():
+            estimates = [model.price(trace, locality),
+                         model.price(trace, locality, "paper-xeon"),
+                         model.price(trace, locality, copy)]
+            blobs = {(est.per_iteration.tobytes(), json.dumps(est.to_dict()))
+                     for est in estimates}
+            assert len(blobs) == 1, label
+
+
+def test_machine_time_scale_scales_every_priced_step(matrix_traces, locality):
+    """Pricing takes its cost model from the machine: halving the
+    machine's time scale halves every step the socket-bound schedulers
+    price, exactly (a power-of-two scale commutes with rounding; Cilk's
+    per-leaf steal overhead is not scaled, so Ligra is left out)."""
+    half = MachineModel(name="half", time_scale=0.5)
+    for model in (POLYMER, GRAPHGRIND):
+        for label, trace in matrix_traces.items():
+            full = model.price(trace, locality).per_iteration
+            halved = model.price(trace, locality, half).per_iteration
+            assert np.array_equal(halved, full * 0.5), (model.name, label)
 
 
 def test_zero_vertex_vertexmap_prices_zero_when_numa_aware(matrix_traces, locality):
     trace = matrix_traces[("hand", "zero-vertex")]
     for model in (POLYMER, GRAPHGRIND, FrameworkModel(
-            name="numa-cilk", scheduler="cilk", default_partitions=384,
-            numa_aware=True, locality_optimized=True)):
+            name="numa-cilk", scheduler="cilk", numa_aware=True, locality_optimized=True)):
         per_iter = model.price(trace, locality=locality).per_iteration
         assert per_iter[1] == per_iter[4] == 0.0
         assert per_iter[0] > 0 and per_iter[2] > 0

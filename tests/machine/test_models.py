@@ -63,36 +63,35 @@ class TestDerivation:
                       "miss_penalty", "remote_factor"):
             assert getattr(derived, field) == getattr(DEFAULT_COST_MODEL, field)
 
-    def test_on_machine_default_returns_self(self):
-        m = get_machine(DEFAULT_MACHINE)
-        for fw in FRAMEWORKS.values():
-            assert fw.on_machine(m) is fw
+    def test_pricing_on_laptop_uses_its_topology(self, monkeypatch):
+        """Pricing takes the topology from the machine: on ``laptop``
+        Polymer's scheduler fills one socket of 8 threads, every chunk
+        homed on socket 0, and Ligra's Cilk schedule runs 8 workers."""
+        from repro.algorithms import pagerank
+        from repro.frameworks import personality
+        from repro.graph import generators as gen
 
-    def test_on_machine_default_preserves_custom_cost_models(self):
-        """The default machine is a strict no-op: a personality carrying
-        tuned coefficients keeps them, it is not reset to paper-xeon's
-        derivation (the machine=None pricing path must stay byte-identical
-        to pre-machine-layer behavior for *every* personality)."""
-        from dataclasses import replace
+        trace = pagerank(gen.zipf_powerlaw_graph(300, seed=3),
+                         num_iterations=1, num_partitions=16).trace
+        seen = {}
 
-        tuned = replace(
-            FRAMEWORKS["ligra"],
-            cost_model=replace(DEFAULT_COST_MODEL, miss_penalty=8.0),
-        )
-        out = tuned.on_machine(get_machine(DEFAULT_MACHINE))
-        assert out is tuned
-        assert out.cost_model.miss_penalty == 8.0
+        def spy(name):
+            original = getattr(personality, name)
 
-    def test_on_machine_other_machine_reconfigures(self):
+            def wrapped(costs, *args, **kwargs):
+                seen[name] = args
+                return original(costs, *args, **kwargs)
+            monkeypatch.setattr(personality, name, wrapped)
+
+        spy("static_numa_schedule")
+        spy("cilk_recursive_schedule")
         laptop = get_machine("laptop")
-        fw = FRAMEWORKS["polymer"].on_machine(laptop)
-        assert fw is not FRAMEWORKS["polymer"]
-        assert fw.topology.num_sockets == 1
-        assert fw.topology.threads_per_socket == 8
-        assert fw.cost_model.remote_factor == 1.0
-        # design axes untouched
-        assert fw.scheduler == FRAMEWORKS["polymer"].scheduler
-        assert fw.numa_aware == FRAMEWORKS["polymer"].numa_aware
+        FRAMEWORKS["polymer"].price(trace, (0.2, 0.1), laptop)
+        FRAMEWORKS["ligra"].price(trace, (0.2, 0.1), laptop)
+        homes, sockets, threads = seen["static_numa_schedule"]
+        assert (sockets, threads) == (1, 8)
+        assert homes.shape == (16,) and not homes.any()
+        assert seen["cilk_recursive_schedule"] == (8,)
 
     def test_time_scale_scales_all_coefficients(self):
         m = MachineModel(name="half", time_scale=0.5)

@@ -132,7 +132,7 @@ def per_cell_results(cells, cache) -> list:
     """
     from repro import store
     from repro.experiments import prepare, run
-    from repro.frameworks.personality import FRAMEWORKS
+    from repro.frameworks.personality import ACCOUNTING_CHUNKS
 
     graphs: dict = {}
     prepared: dict = {}
@@ -142,10 +142,9 @@ def per_cell_results(cells, cache) -> list:
         if gkey not in graphs:
             graphs[gkey] = store.load_graph(cell.dataset, cache=cache, **cell.params)
         graph = graphs[gkey]
-        parts = FRAMEWORKS[cell.framework].default_partitions
-        pkey = (gkey, cell.ordering, parts)
+        pkey = (gkey, cell.ordering)
         if pkey not in prepared:
-            prepared[pkey] = prepare(graph, cell.ordering, parts, cache=cache)
+            prepared[pkey] = prepare(graph, cell.ordering, ACCOUNTING_CHUNKS, cache=cache)
         results.append(run(
             graph, cell.algorithm, cell.framework, ordering=cell.ordering,
             prepared=prepared[pkey], backend=cell.backend,
@@ -271,29 +270,31 @@ def hierarchical_numa_schedule(costs, home_sockets, num_sockets, threads_per_soc
                        num_sockets, threads_per_socket)
 
 
-def price_per_record(model, trace, locality: tuple[float, float]) -> np.ndarray:
-    """Per-iteration seconds of ``model.price(trace, locality)``, computed
-    one record at a time: a per-partition :class:`PartitionWork` (or
-    vertexmap cost vector) per record and one heap-scheduler call per
+def price_per_record(model, trace, locality: tuple[float, float], machine) -> np.ndarray:
+    """Per-iteration seconds of ``model.price(trace, locality, machine)``,
+    computed one record at a time: a per-partition :class:`PartitionWork`
+    (or vertexmap cost vector) per record and one heap-scheduler call per
     record."""
+    from repro.frameworks.personality import (
+        INTERLEAVED_REMOTE_FRACTION, MISS_FLOOR, MISS_SCALE, STEAL_OVERHEAD,
+    )
     from repro.machine.cost import PartitionWork
+    from repro.machine.models import resolve_machine
 
-    src_miss = min(1.0, model.miss_floor + model.miss_scale * locality[0])
-    dst_miss = min(1.0, model.miss_floor + model.miss_scale * locality[1])
+    machine = resolve_machine(machine)
+    cost_model = machine.derive_cost_model()
+    src_miss = min(1.0, MISS_FLOOR + MISS_SCALE * locality[0])
+    dst_miss = min(1.0, MISS_FLOOR + MISS_SCALE * locality[1])
     if not model.locality_optimized:
         src_miss = min(1.0, src_miss * 1.25 + 0.05)
         dst_miss = min(1.0, dst_miss * 1.25 + 0.05)
-    topo = model.topology
+    topo = machine.topology
     homes = topo.partition_home_sockets(trace.num_partitions)
 
     def schedule(costs) -> float:
-        if model.scheduler == "static":
-            return static_block_schedule(costs, topo.num_threads).makespan
-        if model.scheduler == "dynamic":
-            return greedy_dynamic_schedule(costs, topo.num_threads).makespan
         if model.scheduler == "cilk":
             return cilk_recursive_schedule(
-                costs, topo.num_threads, steal_overhead=model.steal_overhead
+                costs, topo.num_threads, steal_overhead=STEAL_OVERHEAD
             ).makespan
         numa = (static_numa_schedule if model.scheduler == "static-hier"
                 else hierarchical_numa_schedule)
@@ -311,17 +312,17 @@ def price_per_record(model, trace, locality: tuple[float, float]) -> np.ndarray:
                 deviation = np.abs(counts - mean).sum() / (2.0 * total)
                 remote = 0.05 + 0.9 * deviation
             else:
-                remote = model.interleaved_remote_fraction
+                remote = INTERLEAVED_REMOTE_FRACTION
             per_iter[i] = schedule(
-                model.cost_model.vertexmap_seconds(counts, remote_fraction=remote)
+                cost_model.vertexmap_seconds(counts, remote_fraction=remote)
             )
             continue
         rec_src, rec_dst = src_miss, dst_miss
         if rec.src_miss >= 0.0 and not (
             model.locality_optimized and rec.density.value == "dense"
         ):
-            rec_src = min(1.0, model.miss_floor + model.miss_scale * rec.src_miss)
-            rec_dst = min(1.0, model.miss_floor + model.miss_scale * rec.dst_miss)
+            rec_src = min(1.0, MISS_FLOOR + MISS_SCALE * rec.src_miss)
+            rec_dst = min(1.0, MISS_FLOOR + MISS_SCALE * rec.dst_miss)
         work = PartitionWork(
             edges=rec.part_edges.astype(np.float64),
             unique_dsts=rec.part_dsts.astype(np.float64),
@@ -331,8 +332,8 @@ def price_per_record(model, trace, locality: tuple[float, float]) -> np.ndarray:
             dst_miss_fraction=rec_dst,
         )
         remote = np.full(homes.size, 0.15 if model.numa_aware
-                         else model.interleaved_remote_fraction)
-        per_iter[i] = schedule(model.cost_model.partition_seconds(work, remote_fraction=remote))
+                         else INTERLEAVED_REMOTE_FRACTION)
+        per_iter[i] = schedule(cost_model.partition_seconds(work, remote_fraction=remote))
     return per_iter
 
 
